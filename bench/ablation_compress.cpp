@@ -151,33 +151,33 @@ int main(int argc, char** argv) {
     gates_ok = false;
   }
 
-  // Shard-layout bit-identity at full reduction: shards=2 vs per-cluster,
-  // the documented gate pair (the legacy engine_shards=1 jitter stream is
-  // exempt from cross-layout identity, DESIGN.md §12).
+  // Shard-layout bit-identity at full reduction: one event queue vs one
+  // queue per cluster (DESIGN.md §12).
   {
     harness::ScenarioConfig cfg = base;
     cfg.spbc.reduction.delta = true;
     cfg.spbc.reduction.compress = true;
-    cfg.machine.engine_shards = 2;
-    harness::ScenarioResult serial = harness::run_failure_free(cfg);
+    cfg.machine.engine_shards = 1;
+    harness::ScenarioResult one_queue = harness::run_failure_free(cfg);
     cfg.machine.engine_shards = 0;  // one shard per cluster
-    harness::ScenarioResult sharded = harness::run_failure_free(cfg);
-    const bool shard_ok = serial.run.completed && sharded.run.completed &&
-                          serial.checksums == sharded.checksums &&
-                          serial.ckpt_stored_bytes ==
-                              sharded.ckpt_stored_bytes &&
-                          serial.delta_snapshots == sharded.delta_snapshots;
+    harness::ScenarioResult per_cluster = harness::run_failure_free(cfg);
+    const bool shard_ok =
+        one_queue.run.completed && per_cluster.run.completed &&
+        one_queue.checksums == per_cluster.checksums &&
+        one_queue.ckpt_stored_bytes == per_cluster.ckpt_stored_bytes &&
+        one_queue.delta_snapshots == per_cluster.delta_snapshots;
     std::printf("shard gate: delta+compress bit-identical across layouts %s "
                 "(checksums %s, raw %llu vs %llu, stored %llu vs %llu, "
                 "deltas %llu vs %llu)\n",
                 shard_ok ? "OK" : "FAIL",
-                serial.checksums == sharded.checksums ? "equal" : "DIFFER",
-                static_cast<unsigned long long>(serial.ckpt_raw_bytes),
-                static_cast<unsigned long long>(sharded.ckpt_raw_bytes),
-                static_cast<unsigned long long>(serial.ckpt_stored_bytes),
-                static_cast<unsigned long long>(sharded.ckpt_stored_bytes),
-                static_cast<unsigned long long>(serial.delta_snapshots),
-                static_cast<unsigned long long>(sharded.delta_snapshots));
+                one_queue.checksums == per_cluster.checksums ? "equal"
+                                                             : "DIFFER",
+                static_cast<unsigned long long>(one_queue.ckpt_raw_bytes),
+                static_cast<unsigned long long>(per_cluster.ckpt_raw_bytes),
+                static_cast<unsigned long long>(one_queue.ckpt_stored_bytes),
+                static_cast<unsigned long long>(per_cluster.ckpt_stored_bytes),
+                static_cast<unsigned long long>(one_queue.delta_snapshots),
+                static_cast<unsigned long long>(per_cluster.delta_snapshots));
     gates_ok = gates_ok && shard_ok;
   }
 

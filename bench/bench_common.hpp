@@ -43,9 +43,10 @@ struct BenchOpts {
   // recovery to win back.
   double compute_noise = 0.08;
   double net_jitter = 0.20;
-  // Engine sharding (--shards N, --threads N): 1 = the legacy single-queue
-  // engine; 0 = one exec shard per cluster; N = min(N, nclusters). Threads
-  // > 1 runs the conservative-lookahead parallel executor (requires
+  // Engine event queues (--shards N, --threads N): events are always keyed
+  // by cluster; 1 = one queue, 0 = one per cluster, N = min(N, nclusters),
+  // and every value gives the same trajectory. Threads > 1 with more than
+  // one queue runs the conservative-lookahead parallel executor (requires
   // node-colocated clusters). See DESIGN.md §12.
   int shards = 1;
   int threads = 1;

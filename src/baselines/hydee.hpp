@@ -67,6 +67,7 @@ class HydeeProtocol : public core::SpbcProtocol {
   struct PendingGrant {
     uint64_t lclock;
     uint64_t uid;
+    int sender;  // the replaying rank the grant flies back to
     std::function<void()> proceed;
     bool operator<(const PendingGrant& o) const {
       if (lclock != o.lclock) return lclock < o.lclock;
@@ -80,6 +81,7 @@ class HydeeProtocol : public core::SpbcProtocol {
   HydeeConfig hcfg_;
   // Coordinator state: one causally ordered queue and one outstanding grant
   // for the whole machine; a FIFO server models the coordinator's CPU.
+  // Touched from serial events only.
   std::deque<PendingGrant> pending_;
   bool chain_busy_ = false;
   sim::Time busy_until_ = 0;

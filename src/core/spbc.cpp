@@ -91,13 +91,12 @@ void SpbcProtocol::attach(mpi::Machine& machine) {
   // (de-escalation on calm must not wait for the next failure).
   staging_.set_scrub_tick([this](sim::Time now) { control_.on_tick(now); });
   int n = machine.nranks();
-  // Pre-size per-rank and per-cluster state: under the threaded shard
-  // executor, lazy growth from concurrent shard events would be a
-  // structural race. (set_cluster_of also calls on_cluster_map, covering
-  // either wiring order.)
+  // Pre-size per-rank state: under the threaded shard executor, lazy growth
+  // from concurrent shard events would be a structural race. Per-cluster
+  // state is sized by on_cluster_map, which the machine calls right after
+  // attach and again whenever a cluster map is installed.
   store_.reserve_ranks(n);
   store_.set_reduction(cfg_.reduction);
-  on_cluster_map(machine.nclusters());
   logs_.resize(static_cast<size_t>(n));
   synth_state_.assign(static_cast<size_t>(n), {});
   if (cfg_.state_model.bytes > 0) {
@@ -170,10 +169,8 @@ void SpbcProtocol::on_cluster_map(int nclusters) {
 }
 
 SpbcProtocol::ClusterWave& SpbcProtocol::wave_of(int cluster) {
-  // Lazy growth only happens when no cluster map was installed (legacy
-  // single-threaded runs); sharded runs pre-size via on_cluster_map.
-  if (static_cast<size_t>(cluster) >= waves_.size())
-    waves_.resize(static_cast<size_t>(cluster) + 1);
+  // Pre-sized by on_cluster_map: every machine installs a cluster map.
+  SPBC_ASSERT(static_cast<size_t>(cluster) < waves_.size());
   return waves_[static_cast<size_t>(cluster)];
 }
 
@@ -590,8 +587,8 @@ void SpbcProtocol::commit_epoch(
     // The windows each member froze at its cut arrived piggybacked on the
     // completion aggregates, so the commit consumes them here and nothing
     // outlives the wave. GC mutates *other* clusters' sender logs, so it
-    // bounces to serial context in sharded runs; the windows are copied
-    // because the caller drops the wave's transient state on return.
+    // bounces to serial context; the windows are copied because the caller
+    // drops the wave's transient state on return.
     auto windows = gc_windows;
     machine_->engine().run_serial([this, windows = std::move(windows)] {
       for (const auto& [member, blob] : windows) gc_from_windows(member, blob);

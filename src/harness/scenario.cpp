@@ -142,7 +142,6 @@ std::vector<int> compute_cluster_map(const ScenarioConfig& cfg) {
   trace_cfg.inject_failure = false;
   mpi::MachineConfig mc = machine_config_for(trace_cfg);
   mpi::Machine machine(mc, baselines::make_native());
-  machine.set_cluster_of(baselines::single_cluster_map(cfg.nranks));
   const apps::AppInfo& info = apps::find_app(cfg.app);
   apps::AppConfig app_cfg = trace_cfg.app_cfg;
   machine.launch([&info, app_cfg](mpi::Rank& r) { info.main(r, app_cfg); });

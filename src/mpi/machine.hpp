@@ -92,15 +92,14 @@ struct MachineConfig {
   // eventual-delivery guarantee (markers are a hint; nothing blocks on
   // them). Off by default for the same pinned-row reason as above.
   bool tree_ckpt_markers = false;
-  // Sharded event engine (100k-rank ablations). 1 = legacy single event
-  // queue, byte-identical to the pre-shard engine. Any other value keys the
-  // engine by cluster (one logical shard per cluster, fixed by the workload)
-  // and uses this many physical queues: 0 = one per cluster, N = at most N.
-  // Event order is a function of the cluster map only — every engine_shards
-  // != 1 setting produces the same trajectory. Requires set_cluster_of().
+  // Physical event queues behind the cluster-keyed engine (one logical key
+  // shard per cluster, fixed by the workload's cluster map): 1 = one queue,
+  // 0 = one per cluster, N = min(N, clusters). Event order is a function of
+  // the cluster map only — every value produces the same trajectory.
   int engine_shards = 1;
   // Worker threads for the sharded executor (conservative lookahead windows).
-  // > 1 requires engine_shards != 1 and node-colocated clusters.
+  // Runs threaded only with more than one queue; that requires
+  // node-colocated clusters.
   int engine_threads = 1;
   // Straggler / slow-node skew (hostile workload matrix; DESIGN.md §16):
   // every compute block on a straggler node is stretched by straggler_factor.
@@ -202,12 +201,19 @@ class Machine {
     return tombstone_drops_.load(std::memory_order_relaxed);
   }
 
-  /// Cluster mapping used by hierarchical protocols; identity (one cluster)
-  /// when unset. Must be set before launch().
+  /// Cluster mapping used by hierarchical protocols; one cluster until set.
+  /// Must be set before launch() and before any event is scheduled: it
+  /// installs the engine's shard plan (one key shard per cluster).
   void set_cluster_of(std::vector<int> cluster_of);
   int cluster_of(int rank) const;
   int nclusters() const { return nclusters_; }
   std::vector<int> ranks_in_cluster(int cluster) const;
+  /// Event-routing (key) shard of a rank: the cluster map frozen at
+  /// set_cluster_of (migrations must not move a rank's events between
+  /// shards mid-run — event order would depend on migration timing).
+  int shard_of(int rank) const {
+    return shard_of_rank_[static_cast<size_t>(rank)];
+  }
 
   // ---- execution -------------------------------------------------------
   /// Spawns all rank fibers running `app`.
@@ -336,13 +342,12 @@ class Machine {
   void handle_control(int dst, const ControlMsg& msg);
   void record_traffic(const Envelope& env);
   void note_intra_send_landed(int src);
-  /// Event-routing shard of a rank: the cluster map frozen at
-  /// set_cluster_of (migrations must not move a rank's events between
-  /// shards mid-run — event order would depend on migration timing).
-  int shard_of(int rank) const {
-    return shard_of_rank_.empty() ? cluster_of(rank)
-                                  : shard_of_rank_[static_cast<size_t>(rank)];
-  }
+  /// An intra-cluster send's landed notification mutates the sender, so it
+  /// runs in the arrival event when the destination shares the sender's
+  /// shard. After a migration an intra-cluster pair can span two shards;
+  /// the notification then runs as its own event on the sender's shard at
+  /// the arrival time `t` (dropped if the sender died meanwhile).
+  void note_intra_send_landed_at(sim::Time t, int src);
 
   MachineConfig cfg_;
   sim::Engine engine_;
@@ -358,7 +363,7 @@ class Machine {
   std::vector<std::vector<std::function<void()>>> intra_drain_watchers_;
   std::vector<int> cluster_of_;
   int nclusters_ = 1;
-  // Frozen rank -> shard snapshot (see shard_of); empty until set_cluster_of.
+  // Frozen rank -> shard snapshot (see shard_of).
   std::vector<int> shard_of_rank_;
   // Dynamic rank -> physical node binding (see node_of).
   std::vector<int> node_of_rank_;
@@ -394,10 +399,9 @@ class Machine {
   struct MsgNode {
     Envelope env;
     Payload payload;
-    std::function<void()> on_complete;  // replay path only
     uint32_t inc = 0;      // destination incarnation at submit
     uint32_t src_inc = 0;  // sender incarnation at submit
-    bool intra = false;
+    bool intra = false;    // the arrival event notes the intra send landed
     uint64_t req = 0;  // rendezvous request id (payload leg)
   };
   struct CtrlNode {

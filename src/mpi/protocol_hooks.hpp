@@ -38,10 +38,11 @@ class ProtocolHooks {
   virtual void attach(Machine& machine) = 0;
 
   /// Called when the Machine learns the cluster decomposition
-  /// (set_cluster_of), before any traffic flows. Protocols pre-size
-  /// per-cluster state here instead of lazily inserting into shared maps —
-  /// lazy insertion from concurrent shard events is a structural race under
-  /// the threaded executor.
+  /// (set_cluster_of): once right after attach with the one-cluster map,
+  /// then for every map the caller installs, before any traffic flows.
+  /// Protocols pre-size per-cluster state here instead of lazily inserting
+  /// into shared maps — lazy insertion from concurrent shard events is a
+  /// structural race under the threaded executor.
   virtual void on_cluster_map(int /*nclusters*/) {}
 
   /// Sender-side stamping of protocol metadata onto the envelope, called

@@ -7,7 +7,7 @@
 namespace spbc::net {
 
 namespace {
-// splitmix64-style mixer for the order-independent jitter draw.
+// splitmix64-style mixer for the jitter draw.
 inline uint64_t mix64(uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -20,9 +20,16 @@ Network::Network(sim::Engine& engine, const sim::Topology& topo, NetworkParams p
     : engine_(engine),
       topo_(topo),
       params_(params),
-      jitter_rng_(params.jitter_seed, 0x6e65747764ULL),
       chan_rows_(static_cast<size_t>(topo.nranks())),
       nic_free_at_(static_cast<size_t>(topo.total_nodes()), sim::kTimeZero) {}
+
+double Network::jitter_draw(uint64_t seed, int src, int dst, uint32_t n) {
+  const uint64_t pair =
+      (static_cast<uint64_t>(static_cast<uint32_t>(src)) << 32) |
+      static_cast<uint32_t>(dst);
+  const uint64_t h = mix64(seed ^ mix64(mix64(pair) ^ n));
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
 
 sim::Time Network::latency(int src, int dst) const {
   return node_of(src) == node_of(dst) ? params_.intra_latency
@@ -87,19 +94,11 @@ sim::Time Network::submit_routed(const Transfer& t, int route_rank,
   sim::Time now = engine_.now();
   sim::Time lat = latency(t.src_rank, t.dst_rank);
   if (params_.jitter_frac > 0.0) {
-    double u;
-    if (deterministic_jitter_) {
-      // Draw from the channel's own counted stream: independent of the
-      // global submit interleaving, so identical across shard/thread layouts.
-      uint64_t h = mix64(params_.jitter_seed ^
-                         mix64((static_cast<uint64_t>(t.src_rank) << 32) ^
-                               static_cast<uint64_t>(t.dst_rank) ^
-                               (static_cast<uint64_t>(chan.submits) << 20)));
-      u = static_cast<double>(h >> 11) * 0x1.0p-53;
-    } else {
-      u = jitter_rng_.next_double();
-    }
-    lat *= 1.0 + params_.jitter_frac * u;
+    // Draw from the channel's own counted stream: independent of the global
+    // submit interleaving, so identical across shard/thread layouts.
+    lat *= 1.0 + params_.jitter_frac * jitter_draw(params_.jitter_seed,
+                                                   t.src_rank, t.dst_rank,
+                                                   chan.submits);
   }
   ++chan.submits;
   double serialize =
@@ -141,8 +140,7 @@ sim::Time Network::submit_routed(const Transfer& t, int route_rank,
   arrival = std::max(arrival, chan.last_arrival);
   chan.last_arrival = arrival;
 
-  int shard = shard_of_ ? shard_of_(route_rank) : 0;
-  engine_.at_on(shard, arrival, std::move(on_arrival));
+  engine_.at_on(shard_of_(route_rank), arrival, std::move(on_arrival));
   return arrival;
 }
 

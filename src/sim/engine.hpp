@@ -1,29 +1,30 @@
 #pragma once
 // The discrete-event engine: virtual clocks, event queues, and all rank
-// fibers. By default it is the classic single-queue, single-threaded,
-// fully deterministic engine. For 100k-rank runs it shards by cluster:
+// fibers. There is one engine path, keyed by cluster:
 //
 //   * Key shards are *logical* shard ids — one per cluster — stamped into
 //     every event's (time, shard, seq) ordering key. They are a property of
 //     the workload (the cluster map), never of the execution configuration.
+//     A one-cluster run is simply the degenerate plan with one key shard.
 //   * Exec shards are the physical event queues (each with its own virtual
 //     clock and fiber-stack pool). Key shard k executes on queue
 //     k % exec_shards. Because ordering keys never mention exec shards,
 //     any exec width — and any worker-thread count — yields the same global
 //     event order, so fixed-seed results are bit-identical by construction.
 //
-// Single-threaded sharded runs pop the globally smallest key across all
-// queues (an N-way merge — exactly the single-queue order). The optional
-// threaded executor runs windows of conservative PDES: the coordinator picks
+// Single-threaded runs pop the globally smallest key across all queues (an
+// N-way merge; one queue is the trivial merge). The optional threaded
+// executor runs windows of conservative PDES: the coordinator picks
 // W = min(global_min.t + lookahead, next_serial.t) and workers execute their
 // own shards' events with t < W in parallel. The lookahead invariant — an
-// event executing in a window may only schedule onto *another* key shard at
-// t >= now + lookahead — is asserted in every mode, so cheap single-threaded
-// runs validate what threaded runs rely on.
+// event executing in a shard may only schedule onto *another* key shard, or
+// into the serial queue, at t >= now + lookahead — is asserted in every plan,
+// so cheap single-threaded runs validate what threaded runs rely on.
 //
-// "Serial" events (at_serial) execute alone at a global barrier with every
-// shard clock advanced to their time: failure injection and recovery
-// orchestration touch many shards at once and run there.
+// "Serial" events execute alone at a global barrier with every shard clock
+// advanced to their time: failure injection and recovery orchestration touch
+// many shards at once and run there. at_serial() always schedules one, and so
+// does at() from outside a shard event (serial context or a stopped world).
 //
 // Ranks are spawned as fibers pinned to their shard; blocking operations park
 // the calling fiber and register a wake condition. Finished fibers release
@@ -57,14 +58,12 @@ class Engine {
   /// Installs the shard layout. Must be called before any task is spawned or
   /// event scheduled. key_shards is the number of logical shards (clusters);
   /// exec_shards the number of physical queues (<= key_shards; 0 = one per
-  /// key shard). key_shards == 1 is the legacy single-queue engine, byte-
-  /// identical to the pre-shard implementation.
+  /// key shard). A fresh engine has one of each.
   void set_shard_plan(int key_shards, int exec_shards = 0);
   int key_shards() const { return static_cast<int>(key_seq_.size()); }
   int exec_shards() const { return static_cast<int>(shards_.size()); }
-  bool sharded() const { return key_shards() > 1; }
 
-  /// Worker threads for run(); <= 1 (or an unsharded plan) keeps the
+  /// Worker threads for run(); <= 1 (or a single exec shard) keeps the
   /// single-threaded merge loop. run_until() is always single-threaded.
   void set_threads(int n) { threads_ = n; }
   int threads() const { return threads_; }
@@ -79,7 +78,8 @@ class Engine {
   Time now() const;
 
   /// Schedules a bare callback (network delivery, protocol timers, ...) on
-  /// the calling context's own key shard (shard 0 / serial outside a run).
+  /// the calling shard event's own key shard; from serial context or
+  /// outside a run it schedules a serial event.
   EventQueue::EventId at(Time t, std::function<void()> fn);
   EventQueue::EventId after(Time dt, std::function<void()> fn) {
     return at(now() + dt, std::move(fn));
@@ -93,18 +93,17 @@ class Engine {
   }
   /// Schedules a serial event: executes alone at a global barrier, with all
   /// shard clocks advanced to t. For failure injection / recovery
-  /// orchestration that touches many shards. In an unsharded plan this is
-  /// an ordinary event (legacy byte-identical order).
+  /// orchestration that touches many shards. From a shard event, t must
+  /// respect the lookahead.
   EventQueue::EventId at_serial(Time t, std::function<void()> fn);
   EventQueue::EventId after_serial(Time dt, std::function<void()> fn) {
     return at_serial(now() + dt, std::move(fn));
   }
-  /// Runs `fn` in serial context: immediately when already serial (or in an
-  /// unsharded plan, where every event is effectively serial), else as a
-  /// serial event one lookahead from now — the earliest instant a shard
-  /// event may legally reach the global barrier. The deferral is applied in
-  /// every sharded mode (threaded or not) so trajectories stay independent
-  /// of the execution configuration.
+  /// Runs `fn` in serial context: immediately when already serial (or
+  /// outside a run), else as a serial event one lookahead from now — the
+  /// earliest instant a shard event may legally reach the global barrier.
+  /// The deferral is applied in every plan (threaded or not, one shard or
+  /// many) so trajectories stay independent of the execution configuration.
   void run_serial(std::function<void()> fn);
   void cancel(EventQueue::EventId id);
 
@@ -212,9 +211,6 @@ class Engine {
   }
   bool in_shard_event() const;  // shard-event/fiber context on this engine
 
-  EventQueue::EventId schedule_event(int target_key, Time t,
-                                     std::function<void()> fn);
-  EventQueue::EventId schedule_serial(Time t, std::function<void()> fn);
   void schedule_resume(TaskId id);
   void resume_task(TaskId id);
   void exec_shard_one(int s, bool parallel);

@@ -74,7 +74,7 @@ bool EventQueue::map_erase(EventId id, size_t* slot_out) {
 // ---------------------------------------------------------------------------
 
 EventQueue::EventId EventQueue::schedule(Time t, EventFn fn) {
-  return schedule_keyed(EventKey{t, 0, legacy_seq_++}, 0, std::move(fn));
+  return schedule_keyed(EventKey{t, 0, insert_seq_++}, 0, std::move(fn));
 }
 
 EventQueue::EventId EventQueue::schedule_keyed(const EventKey& key,

@@ -1,14 +1,14 @@
 #pragma once
 // Deterministic event queue: a binary min-heap ordered by (time, shard, seq).
 //
-// The key is the global tie-break rule for the sharded engine: `shard` is the
-// *logical* (key) shard that scheduled the event and `seq` is that shard's
-// own monotone counter. Because the key never mentions which physical queue
-// or thread executes the event, merging any number of per-shard queues by
-// smallest key reproduces the exact same global order for every shard count —
-// the property the channel-determinism checker and every regression test
-// depend on. The legacy two-argument schedule() stamps (t, shard 0, local
-// counter), which is byte-identical to the old (time, insertion-order) rule.
+// The key is the engine's global tie-break rule: `shard` is the *logical*
+// (key) shard — the cluster — that scheduled the event and `seq` is that
+// shard's own monotone counter. Because the key never mentions which physical
+// queue or thread executes the event, merging any number of per-shard queues
+// by smallest key reproduces the exact same global order for every shard
+// count — the property the channel-determinism checker and every regression
+// test depend on. The two-argument schedule() is a standalone convenience: it
+// stamps (t, shard 0, local counter), i.e. (time, insertion order).
 //
 // Cancellation is O(1): an open-addressed id->slot table finds the entry, its
 // slot is recycled immediately, and the stale heap item is dropped when it
@@ -45,11 +45,11 @@ class EventQueue {
   using EventFn = std::function<void()>;
   using EventId = uint64_t;
 
-  /// Schedules fn at absolute time t with key (t, 0, internal counter) — the
-  /// legacy single-queue insertion order. Returns an id usable with cancel().
+  /// Schedules fn at absolute time t with key (t, 0, internal counter) —
+  /// insertion order breaks time ties. Returns an id usable with cancel().
   EventId schedule(Time t, EventFn fn);
 
-  /// Sharded-engine path: schedule with an explicit ordering key. `owner` is
+  /// Engine path: schedule with an explicit ordering key. `owner` is
   /// the key shard whose state the event mutates (the execution context the
   /// engine restores around fn); it does not affect ordering.
   EventId schedule_keyed(const EventKey& key, uint32_t owner, EventFn fn);
@@ -81,7 +81,7 @@ class EventQueue {
   };
   /// Pops and returns the earliest live event. Only valid when !empty().
   Popped pop_keyed();
-  /// Legacy shape of pop_keyed().
+  /// pop_keyed() without the key's shard/seq or the owner.
   std::pair<Time, EventFn> pop();
 
   /// Heap entries including not-yet-dropped cancelled ones — bounded at
@@ -116,7 +116,7 @@ class EventQueue {
   mutable std::vector<HeapItem> heap_;  // min-heap via std::*_heap with greater
   std::vector<size_t> free_slots_;
   std::atomic<EventId> next_id_{1};
-  uint64_t legacy_seq_ = 0;
+  uint64_t insert_seq_ = 0;
   size_t live_count_ = 0;
 
   struct MapCell {

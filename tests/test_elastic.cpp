@@ -10,6 +10,7 @@
 
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "ckpt/staging.hpp"
 #include "core/spbc.hpp"
@@ -183,38 +184,53 @@ TEST(Elastic, SecondFailureDuringRebuildReplans) {
 // Communication drift: an interleaved node-granular map leaves the ring's
 // cut twice as large as necessary. The streaming repartitioner must notice
 // from the live traffic matrix and migrate at least one node's membership
-// through the quiescence bridge — without disturbing the application.
+// through the quiescence bridge — without disturbing the application. A
+// migrated rank keeps its original event shard, so its new intra-cluster
+// traffic can cross shards; every shard layout must run it bit-identically.
 TEST(Elastic, RepartitionerMigratesUnderDrift) {
   const int n = 8, iters = 14;
   auto expect = reference(n, iters);
-  std::map<int, uint64_t> sums;
-  MachineConfig cfg;
-  cfg.nranks = n;
-  cfg.ranks_per_node = 2;
-  cfg.abort_on_deadlock = false;
-  core::SpbcConfig scfg;
-  scfg.checkpoint_every = 2;
-  scfg.control.repartition_period = 2e-3;
-  // Nodes alternate clusters: half the ring's hops cross the cut.
-  Rig rig = make_rig(cfg, scfg, {0, 0, 1, 1, 0, 0, 1, 1});
-  rig.machine->launch([&sums](Rank& r) { workload(r, iters, &sums); });
-  mpi::RunResult res = rig.machine->run();
-  ASSERT_TRUE(res.completed) << "deadlocked=" << res.deadlocked;
-  EXPECT_EQ(sums, expect);
-  EXPECT_GE(rig.protocol->control_plane().stats().repartitions, 1u);
-  // The flip really moved membership: some node's ranks changed cluster.
-  bool moved = false;
   const std::vector<int> initial = {0, 0, 1, 1, 0, 0, 1, 1};
-  for (int r = 0; r < n; ++r)
-    if (rig.machine->cluster_of(r) != initial[static_cast<size_t>(r)])
-      moved = true;
-  EXPECT_TRUE(moved);
+  sim::Time first_finish = -1;
+  std::vector<int> first_map;
+  for (int shards : {1, 2, 0}) {
+    std::map<int, uint64_t> sums;
+    MachineConfig cfg;
+    cfg.nranks = n;
+    cfg.ranks_per_node = 2;
+    cfg.abort_on_deadlock = false;
+    cfg.engine_shards = shards;
+    core::SpbcConfig scfg;
+    scfg.checkpoint_every = 2;
+    scfg.control.repartition_period = 2e-3;
+    // Nodes alternate clusters: half the ring's hops cross the cut.
+    Rig rig = make_rig(cfg, scfg, initial);
+    rig.machine->launch([&sums](Rank& r) { workload(r, iters, &sums); });
+    mpi::RunResult res = rig.machine->run();
+    ASSERT_TRUE(res.completed)
+        << "shards=" << shards << " deadlocked=" << res.deadlocked;
+    EXPECT_EQ(sums, expect) << "shards=" << shards;
+    EXPECT_GE(rig.protocol->control_plane().stats().repartitions, 1u)
+        << "shards=" << shards;
+    // The flip really moved membership: some node's ranks changed cluster.
+    std::vector<int> map(static_cast<size_t>(n));
+    for (int r = 0; r < n; ++r)
+      map[static_cast<size_t>(r)] = rig.machine->cluster_of(r);
+    EXPECT_NE(map, initial) << "shards=" << shards;
+    if (first_finish < 0) {
+      first_finish = res.finish_time;
+      first_map = map;
+      continue;
+    }
+    EXPECT_EQ(res.finish_time, first_finish) << "shards=" << shards;
+    EXPECT_EQ(map, first_map) << "shards=" << shards;
+  }
 }
 
 // Determinism across shard layouts: the elastic trajectory (hot-swap,
 // rebuild, recovery) is a function of the cluster map only — running the
-// same failure schedule with 2 physical shard queues vs one-per-cluster
-// must produce identical checksums, finish times, and swap counts.
+// same failure schedule with one, two or one-per-cluster physical shard
+// queues must produce identical checksums, finish times, and swap counts.
 TEST(Elastic, DeterministicAcrossShardLayouts) {
   const int n = 8, iters = 8;
   auto run_with_shards = [&](int shards, std::map<int, uint64_t>* sums,
@@ -230,14 +246,18 @@ TEST(Elastic, DeterministicAcrossShardLayouts) {
     *swaps = rig.machine->spare_swaps();
     return res.finish_time;
   };
-  std::map<int, uint64_t> sums_a, sums_b;
-  uint64_t swaps_a = 0, swaps_b = 0;
-  const sim::Time t_a = run_with_shards(2, &sums_a, &swaps_a);
-  const sim::Time t_b = run_with_shards(0, &sums_b, &swaps_b);
-  EXPECT_EQ(sums_a, sums_b);
-  EXPECT_EQ(t_a, t_b);
-  EXPECT_EQ(swaps_a, swaps_b);
-  EXPECT_EQ(swaps_a, 1u);
+  std::map<int, uint64_t> sums_ref;
+  uint64_t swaps_ref = 0;
+  const sim::Time t_ref = run_with_shards(0, &sums_ref, &swaps_ref);
+  EXPECT_EQ(swaps_ref, 1u);
+  for (int shards : {1, 2}) {
+    std::map<int, uint64_t> sums;
+    uint64_t swaps = 0;
+    const sim::Time t = run_with_shards(shards, &sums, &swaps);
+    EXPECT_EQ(sums, sums_ref) << "shards=" << shards;
+    EXPECT_EQ(t, t_ref) << "shards=" << shards;
+    EXPECT_EQ(swaps, swaps_ref) << "shards=" << shards;
+  }
 }
 
 }  // namespace

@@ -2,9 +2,9 @@
 // for every execution configuration (key shards stamp the (time, shard, seq)
 // ordering key; exec shards and worker threads never appear in it), killed
 // fibers must release their pooled stacks, cross-shard kill/unpark races at
-// the same virtual time must resolve by the same key tie-break as the legacy
-// single-queue engine, and the event queue's lazy cancellation must stay
-// bounded by compaction.
+// the same virtual time must resolve by the same key tie-break on one queue
+// as on many, and the event queue's lazy cancellation must stay bounded by
+// compaction.
 
 #include <gtest/gtest.h>
 
@@ -27,10 +27,8 @@ namespace {
 // ---- satellite: determinism across shard counts ---------------------------
 //
 // An ablation_mtbf-style run: SPBC protocol, injected failures, recoveries,
-// staged checkpoints. jitter_frac = 0 so the shards=1 run (which draws
-// jitter from the legacy Pcg32 stream) and sharded runs (counter-hash
-// jitter) see the same network; compute noise stays on (per-rank RNG,
-// engine-independent).
+// staged checkpoints, network jitter (a per-channel counter-hash, so it is
+// independent of the layout) and compute noise (per-rank RNG).
 
 struct MtbfOut {
   bool completed = false;
@@ -50,7 +48,8 @@ MtbfOut mtbf_run(int engine_shards, int engine_threads,
   mc.seed = 7;
   mc.record_send_trace = true;
   mc.compute_noise_frac = 0.05;
-  mc.net.jitter_frac = 0.0;
+  mc.net.jitter_frac = 0.2;
+  mc.net.jitter_seed = 11;
   mc.engine_shards = engine_shards;
   mc.engine_threads = engine_threads;
   // Scalable control plane (leader-aggregated rollback announces + binomial
@@ -100,12 +99,12 @@ MtbfOut mtbf_run(int engine_shards, int engine_threads,
 TEST(ShardDeterminism, MtbfScenarioBitIdenticalAcrossShardPlans) {
   // Failure times as fractions of the failure-free span so both recoveries
   // actually interrupt the run.
-  MtbfOut ff = mtbf_run(1, 1, {});
+  MtbfOut ff = mtbf_run(0, 1, {});
   ASSERT_TRUE(ff.completed);
   const std::vector<std::pair<sim::Time, int>> failures = {
       {ff.finish * 0.35, 3}, {ff.finish * 0.6, 21}};
 
-  MtbfOut ref = mtbf_run(1, 1, failures);
+  MtbfOut ref = mtbf_run(0, 1, failures);
   ASSERT_TRUE(ref.completed);
   EXPECT_EQ(ref.recoveries, 2u);
 
@@ -113,9 +112,9 @@ TEST(ShardDeterminism, MtbfScenarioBitIdenticalAcrossShardPlans) {
     int shards, threads;
     const char* name;
   };
-  const std::vector<Plan> plans = {{2, 1, "shards=2"},
+  const std::vector<Plan> plans = {{1, 1, "shards=1"},
+                                   {2, 1, "shards=2"},
                                    {8, 1, "shards=8"},
-                                   {0, 1, "shards=per-cluster"},
                                    {8, 4, "shards=8,threads=4"}};
   for (const Plan& pl : plans) {
     MtbfOut got = mtbf_run(pl.shards, pl.threads, failures);
@@ -136,15 +135,15 @@ TEST(ShardDeterminism, MtbfScenarioBitIdenticalAcrossShardPlans) {
 // reroutes recovery announces through the cluster leader and wave markers
 // through the completion tree. Those are different messages with different
 // timings than the pairwise plane, so determinism is asserted within the
-// flagged world: shards=1 with flags on is the reference, and every shard
-// plan must reproduce it bit-exactly — recoveries included.
+// flagged world: per-cluster shards with flags on is the reference, and
+// every shard plan must reproduce it bit-exactly — recoveries included.
 TEST(ShardDeterminism, MtbfScenarioBitIdenticalWithScalableControlPlane) {
-  MtbfOut ff = mtbf_run(1, 1, {}, /*scalable_ctrl=*/true);
+  MtbfOut ff = mtbf_run(0, 1, {}, /*scalable_ctrl=*/true);
   ASSERT_TRUE(ff.completed);
   const std::vector<std::pair<sim::Time, int>> failures = {
       {ff.finish * 0.35, 3}, {ff.finish * 0.6, 21}};
 
-  MtbfOut ref = mtbf_run(1, 1, failures, /*scalable_ctrl=*/true);
+  MtbfOut ref = mtbf_run(0, 1, failures, /*scalable_ctrl=*/true);
   ASSERT_TRUE(ref.completed);
   EXPECT_EQ(ref.recoveries, 2u);
 
@@ -152,9 +151,9 @@ TEST(ShardDeterminism, MtbfScenarioBitIdenticalWithScalableControlPlane) {
     int shards, threads;
     const char* name;
   };
-  const std::vector<Plan> plans = {{2, 1, "shards=2"},
+  const std::vector<Plan> plans = {{1, 1, "shards=1"},
+                                   {2, 1, "shards=2"},
                                    {8, 1, "shards=8"},
-                                   {0, 1, "shards=per-cluster"},
                                    {8, 4, "shards=8,threads=4"}};
   for (const Plan& pl : plans) {
     MtbfOut got = mtbf_run(pl.shards, pl.threads, failures,
@@ -175,9 +174,9 @@ TEST(ShardDeterminism, MtbfScenarioBitIdenticalWithScalableControlPlane) {
 // A rank parked on shard 1 has its wake event queued on that shard while a
 // serial kill (failure injection path) lands at the SAME virtual time. The
 // (time, shard, seq) tie-break must resolve the race identically in every
-// execution configuration — including the legacy single-queue engine, where
-// at_serial degrades to an ordinary event and at_on clamps to shard 0, but
-// both draw from the same per-origin seq counter, preserving the order.
+// execution configuration, including a single key shard: both events are
+// scheduled outside the run, so both draw from origin 0's seq counter and
+// keep their scheduling order.
 
 std::vector<std::string> race_run(int key_shards, int exec_shards, int threads,
                                   bool wake_scheduled_first) {
@@ -232,7 +231,7 @@ std::vector<std::string> race_run(int key_shards, int exec_shards, int threads,
 
 TEST(ShardDeterminism, CrossShardKillUnparkTieBreak) {
   for (bool wake_first : {true, false}) {
-    // Legacy single-queue engine defines the expected resolution.
+    // One key shard on one queue defines the expected resolution.
     const std::vector<std::string> ref = race_run(1, 1, 1, wake_first);
     struct Plan {
       int key, exec, threads;

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "harness/scenario.hpp"
 
 namespace spbc {
@@ -24,17 +26,35 @@ harness::ScenarioConfig nas_config(const std::string& app) {
   return cfg;
 }
 
+// Recovery is checksum-identical to the failure-free run on every engine
+// shard layout, and the recovered trajectory is bit-identical across them:
+// the coordinator runs in serial events and each grant flies back to the
+// replaying sender's own shard.
 TEST(Hydee, RecoveryProducesCorrectResults) {
   harness::ScenarioConfig cfg = nas_config("LU");
   cfg.protocol = harness::ProtocolKind::kSpbc;
   harness::ScenarioResult ff = harness::run_failure_free(cfg);
   ASSERT_TRUE(ff.run.completed);
   cfg.protocol = harness::ProtocolKind::kHydee;
-  harness::ScenarioResult rec = harness::run_with_failure(cfg, ff.elapsed, 0.55);
-  ASSERT_TRUE(rec.run.completed) << "deadlocked=" << rec.run.deadlocked;
-  EXPECT_EQ(rec.checksums, ff.checksums);
-  ASSERT_FALSE(rec.recoveries.empty());
-  EXPECT_TRUE(rec.recoveries.front().complete());
+  std::optional<harness::ScenarioResult> first;
+  for (int shards : {1, 2, 0}) {
+    cfg.machine.engine_shards = shards;
+    harness::ScenarioResult rec =
+        harness::run_with_failure(cfg, ff.elapsed, 0.55);
+    ASSERT_TRUE(rec.run.completed)
+        << "shards=" << shards << " deadlocked=" << rec.run.deadlocked;
+    EXPECT_EQ(rec.checksums, ff.checksums) << "shards=" << shards;
+    ASSERT_FALSE(rec.recoveries.empty()) << "shards=" << shards;
+    EXPECT_TRUE(rec.recoveries.front().complete()) << "shards=" << shards;
+    if (!first) {
+      first = rec;
+      continue;
+    }
+    EXPECT_EQ(rec.elapsed, first->elapsed) << "shards=" << shards;
+    EXPECT_EQ(rec.recoveries.front().rework(),
+              first->recoveries.front().rework())
+        << "shards=" << shards;
+  }
 }
 
 TEST(Hydee, CoordinatorGrantsEveryReplayedMessage) {

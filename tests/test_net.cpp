@@ -130,5 +130,25 @@ TEST(Network, JitterIsDeterministicPerSeed) {
   EXPECT_NE(run_once(1), run_once(2));
 }
 
+// The draw must hash the channel pair and the per-channel counter
+// separately: packed into one word as (src << 32) ^ dst ^ (n << 20), channel
+// 0->d at submit 4096 collides with channel 1->d at submit 0, and past 2^20
+// ranks dst collides with n.
+TEST(Network, JitterDrawsDoNotAliasAcrossChannels) {
+  const uint64_t seed = 7;
+  EXPECT_NE(Network::jitter_draw(seed, 0, 5, 4096),
+            Network::jitter_draw(seed, 1, 5, 0));
+  EXPECT_NE(Network::jitter_draw(seed, 0, 1 << 20, 0),
+            Network::jitter_draw(seed, 0, 0, 1));
+  // A pure function of its arguments, in [0, 1).
+  EXPECT_EQ(Network::jitter_draw(seed, 3, 4, 9),
+            Network::jitter_draw(seed, 3, 4, 9));
+  for (uint32_t n = 0; n < 64; ++n) {
+    const double u = Network::jitter_draw(seed, 2, 3, n);
+    EXPECT_GE(u, 0.0);
+    EXPECT_LT(u, 1.0);
+  }
+}
+
 }  // namespace
 }  // namespace spbc::net
