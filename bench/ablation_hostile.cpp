@@ -82,7 +82,7 @@ uint64_t shape_stat(const Shape& s, const harness::ScenarioResult& r) {
     return r.straggler_stall_time > 0 ? static_cast<uint64_t>(
                r.straggler_stall_time * 1e6) : 0;
   if (name == "partition") return r.partition_msgs_held;
-  if (name == "pfs-interference") return r.pfs_contended_flushes;
+  if (name == "pfs-interference") return r.staging.pfs_contended_flushes;
   if (name == "rack-blast") return r.domain_failures_injected;
   return 0;
 }

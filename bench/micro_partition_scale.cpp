@@ -13,8 +13,9 @@
 //   --ranks=N          run only the scale N (default: 256, 1024, 4096)
 //   --seed-max-ranks=N largest scale to run the seed algorithm at (def 1024)
 //   --budget-ms=B      exit non-zero if any pipeline partition exceeds B ms
-//   --compare-seed     exit non-zero if pipeline cut quality regresses >5%
-//                      vs the block-partition baseline (CI quality gate)
+//   --compare-seed     exit non-zero if the pipeline cut regresses >5% vs the
+//                      block-partition baseline or vs the seed algorithm
+//                      (CI quality gate)
 //   --clusters=K       cluster count (default 8)
 //   --app-ranks=N      largest scale to trace the paper app at (default 256)
 
@@ -107,8 +108,8 @@ int main(int argc, char** argv) {
   std::printf("ppn=%d clusters=%d seed-max-ranks=%d\n\n", o.ppn, k_req,
               seed_max_ranks);
 
-  util::Table table({"Graph", "Ranks", "Edges", "flat ms", "multi ms", "seed ms",
-                     "speedup", "cut flat", "cut multi", "cut seed", "cut block"});
+  util::Table table({"Graph", "Ranks", "Edges", "flat ms", "seed ms", "speedup",
+                     "cut flat", "cut seed", "cut block"});
   bool ok = true;
   double speedup_at_1024 = 0.0;
 
@@ -144,15 +145,8 @@ int main(int argc, char** argv) {
       clustering::Partitioner part(in.graph, topo);
 
       auto t0 = std::chrono::steady_clock::now();
-      clustering::PartitionConfig flat_cfg;
-      clustering::PartitionResult flat = part.partition(k, flat_cfg);
+      clustering::PartitionResult flat = part.partition(k);
       const double flat_ms = ms_since(t0);
-
-      t0 = std::chrono::steady_clock::now();
-      clustering::PartitionConfig multi_cfg;
-      multi_cfg.multilevel = true;
-      clustering::PartitionResult multi = part.partition(k, multi_cfg);
-      const double multi_ms = ms_since(t0);
 
       double seed_ms = -1.0;
       clustering::PartitionResult seed_res;
@@ -164,38 +158,33 @@ int main(int argc, char** argv) {
 
       clustering::PartitionResult block = part.block_partition(k);
 
-      const double best_ms = std::min(flat_ms, multi_ms);
-      const double speedup = seed_ms >= 0 ? seed_ms / std::max(best_ms, 1e-3) : 0.0;
+      const double speedup = seed_ms >= 0 ? seed_ms / std::max(flat_ms, 1e-3) : 0.0;
       if (nranks == 1024 && speedup > speedup_at_1024) speedup_at_1024 = speedup;
 
       table.add_row(
           {in.name, std::to_string(nranks), std::to_string(in.graph.nedges()),
-           util::Table::fmt(flat_ms, 2), util::Table::fmt(multi_ms, 2),
+           util::Table::fmt(flat_ms, 2),
            seed_ms >= 0 ? util::Table::fmt(seed_ms, 2) : "-",
            seed_ms >= 0 ? util::Table::fmt(speedup, 1) + "x" : "-",
-           std::to_string(flat.logged_bytes), std::to_string(multi.logged_bytes),
+           std::to_string(flat.logged_bytes),
            seed_ms >= 0 ? std::to_string(seed_res.logged_bytes) : "-",
            std::to_string(block.logged_bytes)});
 
-      if (budget_ms > 0 && (flat_ms > budget_ms || multi_ms > budget_ms)) {
-        std::printf("FAIL: %s at %d ranks took %.1f/%.1f ms (budget %.1f ms)\n",
-                    in.name.c_str(), nranks, flat_ms, multi_ms, budget_ms);
+      if (budget_ms > 0 && flat_ms > budget_ms) {
+        std::printf("FAIL: %s at %d ranks took %.1f ms (budget %.1f ms)\n",
+                    in.name.c_str(), nranks, flat_ms, budget_ms);
         ok = false;
       }
       if (compare_seed) {
         // Quality gate: the pipeline must not regress >5% vs the block
-        // baseline (and is reported against the seed cut when it ran).
-        const auto gate = [&](const char* which, uint64_t cut) {
-          if (cut > block.logged_bytes + block.logged_bytes / 20) {
-            std::printf("FAIL: %s cut %llu regresses >5%% vs block %llu (%s, %d ranks)\n",
-                        which, static_cast<unsigned long long>(cut),
-                        static_cast<unsigned long long>(block.logged_bytes),
-                        in.name.c_str(), nranks);
-            ok = false;
-          }
-        };
-        gate("flat", flat.logged_bytes);
-        gate("multilevel", multi.logged_bytes);
+        // baseline, nor vs the seed cut when the seed ran.
+        if (flat.logged_bytes > block.logged_bytes + block.logged_bytes / 20) {
+          std::printf("FAIL: flat cut %llu regresses >5%% vs block %llu (%s, %d ranks)\n",
+                      static_cast<unsigned long long>(flat.logged_bytes),
+                      static_cast<unsigned long long>(block.logged_bytes),
+                      in.name.c_str(), nranks);
+          ok = false;
+        }
         if (seed_ms >= 0 && flat.logged_bytes >
                                 seed_res.logged_bytes + seed_res.logged_bytes / 20) {
           std::printf("FAIL: flat cut %llu regresses >5%% vs seed %llu (%s, %d ranks)\n",

@@ -34,10 +34,10 @@ struct LowerPriority {
 std::vector<int> agglomerate(const GroupGraph& g, int k) {
   const int n = g.n;
   SPBC_ASSERT(k >= 1 && k <= n);
-  int cap = (g.total_nodes() + k - 1) / k;
+  int cap = (n + k - 1) / k;
 
   std::vector<bool> alive(static_cast<size_t>(n), true);
-  std::vector<int> size = g.node_size;
+  std::vector<int> size(static_cast<size_t>(n), 1);
   std::vector<uint32_t> ver(static_cast<size_t>(n), 0);
   // Units absorbed into each live cluster (small-to-large appends).
   std::vector<std::vector<int>> members(static_cast<size_t>(n));

@@ -1,6 +1,6 @@
 #pragma once
-// Heap-driven greedy agglomeration: merge units into k clusters, heaviest
-// inter-cluster weight first, under a node-count size cap.
+// Heap-driven greedy agglomeration: merge node groups into k clusters,
+// heaviest inter-cluster weight first, under a node-count size cap.
 //
 // Replaces the seed algorithm's all-pairs rescan per merge (O(g^3) over a
 // dense matrix) with a lazy max-heap of candidate cluster pairs. Every
@@ -21,9 +21,9 @@
 
 namespace spbc::clustering {
 
-/// Merges the units of `g` into exactly `k` clusters (node-count cap
-/// ceil(total_nodes / k), relaxed only when the remaining components cannot
-/// otherwise reach k). Returns unit -> cluster id in [0, k). Deterministic.
+/// Merges the node groups of `g` into exactly `k` clusters (node-count cap
+/// ceil(g.n / k), relaxed only when the remaining components cannot
+/// otherwise reach k). Returns group -> cluster id in [0, k). Deterministic.
 std::vector<int> agglomerate(const GroupGraph& g, int k);
 
 }  // namespace spbc::clustering

@@ -2,28 +2,17 @@
 
 #include <algorithm>
 #include <array>
-#include <numeric>
 
 #include "util/assert.hpp"
 
 namespace spbc::clustering {
 
-uint64_t GroupGraph::weight_between(int a, int b) const {
-  const int* lo = adj.data() + begin(a);
-  const int* hi = adj.data() + end(a);
-  const int* it = std::lower_bound(lo, hi, b);
-  if (it == hi || *it != b) return 0;
-  return w[static_cast<size_t>(it - adj.data())];
-}
+namespace {
 
-int GroupGraph::total_nodes() const {
-  return std::accumulate(node_size.begin(), node_size.end(), 0);
-}
-
-GroupGraph GroupGraph::from_triples(
-    int nunits, std::vector<int> node_size,
-    std::vector<std::array<uint64_t, 3>>&& triples) {
-  SPBC_ASSERT(static_cast<int>(node_size.size()) == nunits);
+// Builds the CSR from (a, b, weight) triples (a != b, both orders or one —
+// duplicates merge).
+GroupGraph from_triples(int nunits,
+                        std::vector<std::array<uint64_t, 3>>&& triples) {
   // Normalize to (min, max), sort, merge duplicates.
   for (auto& t : triples) {
     if (t[0] > t[1]) std::swap(t[0], t[1]);
@@ -48,7 +37,6 @@ GroupGraph GroupGraph::from_triples(
 
   GroupGraph g;
   g.n = nunits;
-  g.node_size = std::move(node_size);
   g.row_ptr.assign(static_cast<size_t>(nunits) + 1, 0);
   for (const auto& t : triples) {
     ++g.row_ptr[t[0] + 1];
@@ -89,9 +77,11 @@ GroupGraph GroupGraph::from_triples(
   return g;
 }
 
+}  // namespace
+
 GroupGraph GroupGraph::from_ranks(const CommGraph& graph,
                                   const std::vector<int>& unit_of_rank,
-                                  int nunits, std::vector<int> node_size) {
+                                  int nunits) {
   SPBC_ASSERT(static_cast<int>(unit_of_rank.size()) == graph.nranks());
   std::vector<std::array<uint64_t, 3>> triples;
   triples.reserve(graph.nedges());
@@ -106,66 +96,7 @@ GroupGraph GroupGraph::from_ranks(const CommGraph& graph,
                          e->sym()});
     }
   }
-  return from_triples(nunits, std::move(node_size), std::move(triples));
-}
-
-GroupGraph GroupGraph::coarsen(int node_cap,
-                               std::vector<int>* fine_to_coarse) const {
-  std::vector<int> match(static_cast<size_t>(n), -1);
-  for (int u = 0; u < n; ++u) {
-    if (match[static_cast<size_t>(u)] >= 0) continue;
-    int best = -1;
-    uint64_t best_w = 0;
-    for (size_t i = begin(u); i < end(u); ++i) {
-      const int v = adj[i];
-      if (match[static_cast<size_t>(v)] >= 0) continue;
-      if (node_size[static_cast<size_t>(u)] + node_size[static_cast<size_t>(v)] >
-          node_cap)
-        continue;
-      // Heaviest edge wins; ties break on the smaller index, which the
-      // sorted row order delivers with a strict comparison.
-      if (w[i] > best_w || best < 0) {
-        best = v;
-        best_w = w[i];
-      }
-    }
-    if (best >= 0) {
-      match[static_cast<size_t>(u)] = best;
-      match[static_cast<size_t>(best)] = u;
-    } else {
-      match[static_cast<size_t>(u)] = u;  // stays single
-    }
-  }
-
-  // Coarse ids in order of each pair's smaller member.
-  std::vector<int>& map = *fine_to_coarse;
-  map.assign(static_cast<size_t>(n), -1);
-  int next = 0;
-  for (int u = 0; u < n; ++u) {
-    if (map[static_cast<size_t>(u)] >= 0) continue;
-    map[static_cast<size_t>(u)] = next;
-    map[static_cast<size_t>(match[static_cast<size_t>(u)])] = next;
-    ++next;
-  }
-
-  std::vector<int> coarse_size(static_cast<size_t>(next), 0);
-  for (int u = 0; u < n; ++u)
-    coarse_size[static_cast<size_t>(map[static_cast<size_t>(u)])] +=
-        node_size[static_cast<size_t>(u)];
-
-  std::vector<std::array<uint64_t, 3>> triples;
-  triples.reserve(adj.size() / 2);
-  for (int u = 0; u < n; ++u) {
-    const int cu = map[static_cast<size_t>(u)];
-    for (size_t i = begin(u); i < end(u); ++i) {
-      if (adj[i] < u) continue;
-      const int cv = map[static_cast<size_t>(adj[i])];
-      if (cu == cv) continue;  // contracted away
-      triples.push_back({static_cast<uint64_t>(cu), static_cast<uint64_t>(cv),
-                         w[i]});
-    }
-  }
-  return from_triples(next, std::move(coarse_size), std::move(triples));
+  return from_triples(nunits, std::move(triples));
 }
 
 }  // namespace spbc::clustering

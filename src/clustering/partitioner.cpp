@@ -15,8 +15,7 @@ Partitioner::Partitioner(const CommGraph& graph, const sim::Topology& topo)
   group_of_rank_.resize(static_cast<size_t>(graph.nranks()));
   for (int r = 0; r < graph.nranks(); ++r)
     group_of_rank_[static_cast<size_t>(r)] = topo.node_of(r);
-  groups_ = GroupGraph::from_ranks(graph, group_of_rank_, ngroups_,
-                                   std::vector<int>(static_cast<size_t>(ngroups_), 1));
+  groups_ = GroupGraph::from_ranks(graph, group_of_rank_, ngroups_);
 }
 
 PartitionResult Partitioner::finalize(const std::vector<int>& group_cluster,
@@ -47,64 +46,20 @@ PartitionResult Partitioner::partition(int k, const PartitionConfig& cfg) const 
   RefineParams rp;
   rp.k = k;
   rp.objective = cfg.objective;
-  rp.max_rounds = cfg.refine_rounds;
   rp.node_cap = ((ngroups_ + k - 1) / k) + 1;  // seed refinement slack
   rp.validate_deltas = cfg.validate_deltas;
 
-  if (!cfg.multilevel) {
-    std::vector<int> group_cluster = agglomerate(groups_, k);
-    refine_partition(graph_, groups_, group_of_rank_, rp, group_cluster);
-    return finalize(group_cluster, k);
-  }
-
-  // V-cycle. Coarsen by heavy-edge matching while the graph stays large;
-  // each level keeps its unit graph, its rank -> unit map, and the map that
-  // projects its units onto the next-coarser level.
-  struct Level {
-    GroupGraph g;
-    std::vector<int> unit_of_rank;
-    std::vector<int> to_coarse;  // this level's units -> next level's units
-  };
-  std::vector<Level> levels;
-  levels.push_back(Level{groups_, group_of_rank_, {}});
-  const int stop_at = std::max(cfg.coarsen_target, 2 * k);
-  const int match_cap = (ngroups_ + k - 1) / k;  // a unit must still fit a cluster
-  while (levels.back().g.n > stop_at) {
-    Level& fine = levels.back();
-    std::vector<int> to_coarse;
-    GroupGraph coarse = fine.g.coarsen(match_cap, &to_coarse);
-    if (coarse.n == fine.g.n) break;  // nothing matched; stop
-    std::vector<int> unit_of_rank(fine.unit_of_rank.size());
-    for (size_t r = 0; r < unit_of_rank.size(); ++r)
-      unit_of_rank[r] = to_coarse[static_cast<size_t>(fine.unit_of_rank[r])];
-    fine.to_coarse = std::move(to_coarse);
-    levels.push_back(Level{std::move(coarse), std::move(unit_of_rank), {}});
-  }
-
-  // Initial partition at the coarsest level, then uncoarsen with refinement
-  // at every level on the way back down.
-  std::vector<int> cluster = agglomerate(levels.back().g, k);
-  for (size_t li = levels.size(); li-- > 0;) {
-    const Level& lvl = levels[li];
-    refine_partition(graph_, lvl.g, lvl.unit_of_rank, rp, cluster);
-    if (li > 0) {
-      const Level& finer = levels[li - 1];
-      std::vector<int> projected(static_cast<size_t>(finer.g.n));
-      for (int u = 0; u < finer.g.n; ++u)
-        projected[static_cast<size_t>(u)] =
-            cluster[static_cast<size_t>(finer.to_coarse[static_cast<size_t>(u)])];
-      cluster = std::move(projected);
-    }
-  }
-  return finalize(cluster, k);
+  std::vector<int> group_cluster = agglomerate(groups_, k);
+  refine_partition(graph_, groups_, group_of_rank_, rp, group_cluster);
+  return finalize(group_cluster, k);
 }
 
 PartitionResult Partitioner::block_partition(int k) const {
   SPBC_ASSERT(k >= 1 && k <= ngroups_);
   std::vector<int> group_cluster(static_cast<size_t>(ngroups_));
-  int per = (ngroups_ + k - 1) / k;
   for (int g = 0; g < ngroups_; ++g)
-    group_cluster[static_cast<size_t>(g)] = std::min(g / per, k - 1);
+    group_cluster[static_cast<size_t>(g)] =
+        static_cast<int>(int64_t{g} * k / ngroups_);
   return finalize(group_cluster, k);
 }
 

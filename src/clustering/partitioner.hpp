@@ -19,9 +19,8 @@
 //   3. Kernighan–Lin-style refinement with delta-based move evaluation
 //      (clustering/refine.hpp) — O(degree) per candidate instead of a
 //      full-graph logged_bytes() recompute.
-// With PartitionConfig::multilevel the pipeline runs as a V-cycle: coarsen
-// by heavy-edge matching, partition the coarsest graph, then uncoarsen with
-// refinement at every level. Deterministic for a given graph either way.
+// Every partition runs this one flat pipeline. Deterministic for a given
+// graph.
 
 #include <cstdint>
 #include <vector>
@@ -42,14 +41,6 @@ struct PartitionResult {
 
 struct PartitionConfig {
   Objective objective = Objective::kMinTotalLogged;
-  /// V-cycle: coarsen by heavy-edge matching, partition the coarse graph,
-  /// uncoarsen with refinement at each level. Off = flat (agglomerate +
-  /// refine directly on the node-group graph, the seed-equivalent path).
-  bool multilevel = false;
-  /// Stop coarsening at or below this many units (floored at 2k so the
-  /// coarsest graph still distinguishes k clusters).
-  int coarsen_target = 64;
-  int refine_rounds = 20;  // seed used 20
   /// Debug/property-test mode: every applied refinement move is cross-checked
   /// against a from-scratch logged_bytes() recompute.
   bool validate_deltas = false;
@@ -65,7 +56,8 @@ class Partitioner {
   PartitionResult partition(int k, Objective objective = Objective::kMinTotalLogged) const;
   PartitionResult partition(int k, const PartitionConfig& cfg) const;
 
-  /// Baseline for comparison: contiguous block partition (node order).
+  /// Baseline for comparison: contiguous block partition (node order), k
+  /// non-empty clusters whose node counts differ by at most one.
   PartitionResult block_partition(int k) const;
 
   /// The seed algorithm, kept verbatim for parity tests and the scaling

@@ -35,15 +35,15 @@ struct RefineParams {
   int k = 1;
   Objective objective = Objective::kMinTotalLogged;
   int max_rounds = 20;
-  int node_cap = 0;  // max physical nodes per cluster (seed: ceil(g/k) + 1)
+  int node_cap = 0;  // max node groups per cluster (seed: ceil(g/k) + 1)
   /// Debug/property-test mode: after every applied move, recompute the
   /// objective from scratch and assert it equals the incremental value.
   bool validate_deltas = false;
 };
 
-/// Refines `unit_cluster` (unit -> cluster in [0, k)) in place. `units` is
-/// the current level's adjacency; `unit_of_rank` maps every rank of `graph`
-/// to its unit at this level. Deterministic.
+/// Refines `unit_cluster` (node group -> cluster in [0, k)) in place. `units`
+/// is the node-group graph; `unit_of_rank` maps every rank of `graph` to its
+/// node group. Deterministic.
 void refine_partition(const CommGraph& graph, const GroupGraph& units,
                       const std::vector<int>& unit_of_rank,
                       const RefineParams& params, std::vector<int>& unit_cluster);

@@ -94,7 +94,7 @@ uint64_t ControlPlane::redundancy_stride() const {
   // bandwidth term is a real cost against the rollback depth a skipped hop
   // buys.
   const double c = std::max(
-      cfg_.async_staging
+      async_staging()
           ? static_cast<double>(bytes) / model_.partner_bw
           : model_.write_time(ckpt::StorageLevel::kPartner, bytes) -
                 model_.write_time(ckpt::StorageLevel::kLocal, bytes),
@@ -109,7 +109,7 @@ uint64_t ControlPlane::redundancy_stride() const {
 uint64_t ControlPlane::pfs_stride() const {
   const uint64_t bytes = snapshot_bytes();
   const double c =
-      cfg_.async_staging
+      async_staging()
           ? static_cast<double>(bytes) / model_.pfs_bw
           : model_.write_time(ckpt::StorageLevel::kPfs, bytes);
   const double t = std::sqrt(2.0 * std::max(c, 1e-9) * dbl_.mtbf() * domains_);

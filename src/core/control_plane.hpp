@@ -112,12 +112,6 @@ struct ControlPlaneConfig {
   uint64_t max_level_stride = 64;  // clamp on redundancy/PFS epoch strides
   /// Snapshot-size seed for the Daly cost terms until a real write is seen.
   uint64_t snapshot_bytes_hint = 1 << 20;
-  /// Set by the protocol from SpbcConfig::async_staging: under async staging
-  /// the redundancy hop and the PFS flush run in the background, so their
-  /// app-visible incremental cost is the bandwidth they occupy (bytes/bw),
-  /// not the full latency-dominated write time — the strides must not buy
-  /// rollback depth to save latency the app never sees.
-  bool async_staging = false;
 
   // ---- background scrubbing ----
   sim::Time scrub_period = 0;  // 0 = no audit wave (forwarded to staging)
@@ -161,8 +155,9 @@ class ControlPlane {
   ControlPlane(const ControlPlaneConfig& cfg,
                const ckpt::StorageCostModel& model);
 
-  /// Wires the staging area escalation switches (may be null in unit tests:
-  /// the policy state machine still runs, only the switch is skipped).
+  /// Wires the staging area: its escalation switches, and its write mode for
+  /// the stride costs (may be null in unit tests: the policy state machine
+  /// still runs, only the switch is skipped, and staging counts as sync).
   void attach(ckpt::StagingArea* staging) { staging_ = staging; }
 
   /// Containment domains (the protocol's cluster count, wired before the
@@ -229,6 +224,15 @@ class ControlPlane {
 
  private:
   uint64_t snapshot_bytes() const;
+  /// Under async staging the redundancy hop and the PFS flush run in the
+  /// background, so their app-visible incremental cost is the bandwidth they
+  /// occupy (bytes/bw), not the full latency-dominated write time — the
+  /// strides must not buy rollback depth to save latency the app never sees.
+  /// Reads the configured flag, not StagingArea::async(), so a run without
+  /// storage keeps the sync strides.
+  bool async_staging() const {
+    return staging_ != nullptr && staging_->config().async;
+  }
   void maybe_deescalate(sim::Time now);
   void publish_snapshot_bytes();
 

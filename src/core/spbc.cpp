@@ -61,27 +61,15 @@ void tree_neighbors(int idx, int k, std::vector<int>& out) {
 
 }  // namespace
 
-namespace {
-// The control plane needs to know whether staging levels are app-visible
-// stalls (sync) or background traffic (async) when costing its strides.
-core::ControlPlaneConfig with_staging_mode(core::ControlPlaneConfig c,
-                                           bool async_staging) {
-  c.async_staging = async_staging;
-  return c;
-}
-}  // namespace
-
 SpbcProtocol::SpbcProtocol(SpbcConfig cfg)
     : cfg_(cfg),
-      store_(cfg.storage, cfg.storage_model),
       staging_(ckpt::StagingConfig{cfg.storage, cfg.async_staging,
                                    cfg.storage_model, cfg.redundancy,
                                    cfg.control.scrub_period,
                                    /*prepare_escalated=*/cfg.control.escalation,
                                    cfg.control.escalated,
                                    cfg.pfs_interference}),
-      control_(with_staging_mode(cfg.control, cfg.async_staging),
-               cfg.storage_model) {}
+      control_(cfg.control, cfg.storage_model) {}
 
 void SpbcProtocol::attach(mpi::Machine& machine) {
   machine_ = &machine;

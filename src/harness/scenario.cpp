@@ -150,9 +150,7 @@ std::vector<int> compute_cluster_map(const ScenarioConfig& cfg) {
   clustering::CommGraph graph =
       clustering::CommGraph::from_traffic(cfg.nranks, machine.traffic());
   clustering::Partitioner part(graph, topo);
-  clustering::PartitionConfig pc = cfg.partition;
-  pc.objective = cfg.objective;
-  return part.partition(cfg.nclusters, pc).cluster_of;
+  return part.partition(cfg.nclusters, cfg.objective).cluster_of;
 }
 
 ScenarioResult run_scenario(const ScenarioConfig& cfg_in) {
@@ -253,20 +251,12 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg_in) {
     res.captures_spilled = spbc->store().captures_spilled();
     res.capture_spilled_bytes = spbc->store().capture_spilled_bytes();
     res.staging = spbc->staging().stats();
-    res.reprotections = res.staging.reprotections;
-    res.rebuild_retries = res.staging.rebuild_retries;
-    res.scrubs_detected = res.staging.scrubs_detected;
-    res.scrubs_repaired = res.staging.scrubs_repaired;
-    res.silent_losses_injected = res.staging.silent_losses_injected;
     res.corrupt_live_fragments = spbc->staging().corrupt_live_fragments();
     res.bytes_local_written = res.staging.bytes_to_local;
     res.bytes_partner_written =
         res.staging.bytes_to_partner + res.staging.bytes_to_parity;
     res.bytes_pfs_written = res.staging.bytes_to_pfs;
     res.bytes_rebuild_read = res.staging.rebuild_bytes_read;
-    res.pfs_contended_flushes = res.staging.pfs_contended_flushes;
-    res.pfs_interference_time = res.staging.pfs_interference_time;
-    res.pfs_queue_depth_hwm = res.staging.pfs_queue_depth_hwm;
     res.ckpt_raw_bytes = spbc->store().total_raw_bytes();
     res.ckpt_stored_bytes = spbc->store().total_bytes_written();
     res.delta_snapshots = spbc->store().delta_snapshots();

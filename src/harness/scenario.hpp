@@ -102,10 +102,6 @@ struct ScenarioConfig {
   /// partition of nodes.
   bool use_clustering_tool = true;
   clustering::Objective objective = clustering::Objective::kMinTotalLogged;
-  /// Pipeline knobs for the clustering tool (multilevel V-cycle, refinement
-  /// budget...). `objective` above overrides `partition.objective` so the
-  /// historical field keeps working.
-  clustering::PartitionConfig partition;
   int trace_iters = 3;  // iterations of the traced clustering run
 
   /// Failure injection.
@@ -186,14 +182,6 @@ struct ScenarioResult {
   uint64_t ckpt_stored_bytes = 0;
   uint64_t delta_snapshots = 0;
 
-  // Headline reliability counters, lifted out of `staging` so benches and
-  // tests can gate on them without digging through the full stats struct
-  // (several of these previously never reached harness summaries).
-  uint64_t reprotections = 0;
-  uint64_t rebuild_retries = 0;
-  uint64_t scrubs_detected = 0;
-  uint64_t scrubs_repaired = 0;
-  uint64_t silent_losses_injected = 0;
   /// Corrupt fragments still believed live when the run ended (undetected
   /// silent losses; scrub-coverage gates require 0).
   uint64_t corrupt_live_fragments = 0;
@@ -206,13 +194,11 @@ struct ScenarioResult {
   uint64_t shrink_restarts = 0;
   uint64_t tombstone_drops = 0;
 
-  // Per-hostile-shape accounting (zeros when the matrix is off).
+  // Per-hostile-shape accounting (zeros when the matrix is off). The PFS
+  // interference counters stay in `staging`.
   sim::Time straggler_stall_time = 0;    // extra compute on straggler nodes
   uint64_t partition_msgs_held = 0;      // messages held across a partition
   sim::Time partition_stall_time = 0;    // total extra in-fabric delay
-  uint64_t pfs_contended_flushes = 0;    // flushes hit by PFS interference
-  sim::Time pfs_interference_time = 0;   // extra flush time from contention
-  uint64_t pfs_queue_depth_hwm = 0;      // deepest per-node PFS flush queue
   uint64_t domain_failures_injected = 0; // per-node failures from domains
 
   // Control-plane telemetry (zeros when the control plane is disabled).

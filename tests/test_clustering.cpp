@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "clustering/comm_graph.hpp"
@@ -201,7 +202,7 @@ TEST(CommGraph, CutDeltaMatchesRecompute) {
 
 // ---------------------------------------------------------------------------
 // Pipeline parity: brute-force optima, seed equivalence, delta validation,
-// and determinism across the flat and multilevel paths.
+// and determinism.
 // ---------------------------------------------------------------------------
 
 CommGraph random_graph(int nranks, uint64_t seed, int edges, uint64_t wmax) {
@@ -325,45 +326,36 @@ TEST(Partitioner, PipelineMatchesSeedReference) {
 TEST(Partitioner, DeltaObjectiveMatchesRecomputeAfterEveryMove) {
   // validate_deltas recomputes logged_bytes()/per-rank from scratch after
   // every applied refinement move and aborts on any divergence from the
-  // incremental tables — for both objectives, flat and multilevel paths.
+  // incremental tables — for both objectives.
   for (uint64_t seed : {21u, 22u}) {
     sim::Topology topo(12, 2);
     CommGraph g = random_graph(24, seed, 150, 3000);
     Partitioner part(g, topo);
     for (auto obj : {Objective::kMinTotalLogged, Objective::kBalancedLogged}) {
-      for (bool multilevel : {false, true}) {
-        PartitionConfig cfg;
-        cfg.objective = obj;
-        cfg.multilevel = multilevel;
-        cfg.coarsen_target = 6;  // force real coarsening on this small graph
-        cfg.validate_deltas = true;
-        PartitionResult res = part.partition(4, cfg);
-        EXPECT_EQ(res.clusters, 4);
-        std::set<int> ids(res.cluster_of.begin(), res.cluster_of.end());
-        EXPECT_EQ(ids.size(), 4u);
-      }
+      PartitionConfig cfg;
+      cfg.objective = obj;
+      cfg.validate_deltas = true;
+      PartitionResult res = part.partition(4, cfg);
+      EXPECT_EQ(res.clusters, 4);
+      std::set<int> ids(res.cluster_of.begin(), res.cluster_of.end());
+      EXPECT_EQ(ids.size(), 4u);
     }
   }
 }
 
-TEST(Partitioner, FlatAndMultilevelPathsAreDeterministic) {
+TEST(Partitioner, PartitionIsDeterministic) {
   sim::Topology topo(16, 2);
   CommGraph g = random_graph(32, 33, 250, 4000);
   Partitioner part(g, topo);
-  for (bool multilevel : {false, true}) {
-    PartitionConfig cfg;
-    cfg.multilevel = multilevel;
-    cfg.coarsen_target = 8;
-    PartitionResult a = part.partition(4, cfg);
-    PartitionResult b = part.partition(4, cfg);
-    EXPECT_EQ(a.cluster_of, b.cluster_of) << "multilevel=" << multilevel;
-    EXPECT_EQ(a.logged_bytes, b.logged_bytes);
-  }
+  PartitionResult a = part.partition(4);
+  PartitionResult b = part.partition(4);
+  EXPECT_EQ(a.cluster_of, b.cluster_of);
+  EXPECT_EQ(a.logged_bytes, b.logged_bytes);
 }
 
-TEST(Partitioner, MultilevelRecoversPlantedCommunities) {
-  // Interleaved communities at a size where the V-cycle actually coarsens;
-  // both pipelines must find the planted cut exactly.
+TEST(Partitioner, RecoversPlantedCommunities) {
+  // Interleaved communities over 64 nodes: the pipeline must find the
+  // planted cut exactly.
   const int n = 64;
   sim::Topology topo(n, 1);
   CommGraph g(n);
@@ -373,13 +365,38 @@ TEST(Partitioner, MultilevelRecoversPlantedCommunities) {
   g.add_traffic(0, 1, 1);  // weak cross links
   g.add_traffic(2, 3, 1);
   Partitioner part(g, topo);
-  PartitionConfig ml;
-  ml.multilevel = true;
-  ml.coarsen_target = 16;
-  PartitionResult multi = part.partition(4, ml);
-  PartitionResult flat = part.partition(4);
-  EXPECT_EQ(multi.logged_bytes, 2u);  // only the two weak links are cut
-  EXPECT_EQ(flat.logged_bytes, multi.logged_bytes);
+  EXPECT_EQ(part.partition(4).logged_bytes, 2u);  // only the two weak links
+}
+
+TEST(Partitioner, BlockPartitionFillsEveryCluster) {
+  // Every k in [1, nodes] yields exactly k non-empty runs of consecutive
+  // nodes whose sizes differ by at most one, including k that does not
+  // divide the node count (6 or 9 nodes at k=4, 64 nodes at k=24).
+  for (int nodes = 1; nodes <= 64; ++nodes) {
+    sim::Topology topo(nodes, 1);
+    CommGraph g(nodes);
+    Partitioner part(g, topo);
+    for (int k = 1; k <= nodes; ++k) {
+      PartitionResult res = part.block_partition(k);
+      ASSERT_EQ(res.clusters, k);
+      std::vector<int> size(static_cast<size_t>(k), 0);
+      for (int r = 0; r < nodes; ++r) {
+        const int c = res.cluster_of[static_cast<size_t>(r)];
+        ASSERT_GE(c, 0);
+        ASSERT_LT(c, k);
+        // Contiguous: cluster ids never decrease and never skip one.
+        if (r > 0) {
+          const int prev = res.cluster_of[static_cast<size_t>(r) - 1];
+          ASSERT_TRUE(c == prev || c == prev + 1)
+              << "nodes=" << nodes << " k=" << k << " r=" << r;
+        }
+        ++size[static_cast<size_t>(c)];
+      }
+      const auto [lo, hi] = std::minmax_element(size.begin(), size.end());
+      EXPECT_GE(*lo, 1) << "nodes=" << nodes << " k=" << k;
+      EXPECT_LE(*hi - *lo, 1) << "nodes=" << nodes << " k=" << k;
+    }
+  }
 }
 
 }  // namespace

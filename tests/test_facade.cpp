@@ -402,17 +402,17 @@ TEST(HostileStats, PfsInterferenceAccounting) {
   harness::ScenarioResult base = harness::run_failure_free(cfg);
   ASSERT_TRUE(base.run.completed);
   ASSERT_GT(base.staging.pfs_flushes, 0u);
-  EXPECT_EQ(base.pfs_contended_flushes, 0u);
-  EXPECT_EQ(base.pfs_interference_time, 0.0);
-  EXPECT_GE(base.pfs_queue_depth_hwm, 1u);
+  EXPECT_EQ(base.staging.pfs_contended_flushes, 0u);
+  EXPECT_EQ(base.staging.pfs_interference_time, 0.0);
+  EXPECT_GE(base.staging.pfs_queue_depth_hwm, 1u);
 
   // Another job owns 3/4 of the PFS ingest for the whole run.
   cfg.hostile.pfs_interference.push_back({0.0, 1e9, 0.25});
   harness::ScenarioResult busy = harness::run_failure_free(cfg);
   ASSERT_TRUE(busy.run.completed);
-  EXPECT_GT(busy.pfs_contended_flushes, 0u);
-  EXPECT_GT(busy.pfs_interference_time, 0.0);
-  EXPECT_GE(busy.pfs_queue_depth_hwm, base.pfs_queue_depth_hwm);
+  EXPECT_GT(busy.staging.pfs_contended_flushes, 0u);
+  EXPECT_GT(busy.staging.pfs_interference_time, 0.0);
+  EXPECT_GE(busy.staging.pfs_queue_depth_hwm, base.staging.pfs_queue_depth_hwm);
   EXPECT_EQ(busy.checksums, base.checksums);
 }
 
