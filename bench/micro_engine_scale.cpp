@@ -64,6 +64,8 @@ struct RunOut {
   size_t peak_live_stacks = 0;
   size_t stacks_allocated = 0;
   uint64_t windows = 0;
+  uint64_t fiber_resumes = 0;
+  uint64_t head_refreshes = 0;
 };
 
 /// One engine run of the token ping workload. Deterministic for any
@@ -130,6 +132,8 @@ RunOut run_workload(int ranks, int clusters, int iters, int exec_shards,
   out.windows = st.windows;
   out.peak_live_stacks = st.peak_live_stacks;
   out.stacks_allocated = st.stacks_allocated;
+  out.fiber_resumes = st.fiber_resumes;
+  out.head_refreshes = st.head_refreshes;
   out.wall_sec = std::chrono::duration<double>(t1 - t0).count();
   for (uint64_t h : hashes) out.hash ^= h;
   return out;
@@ -189,7 +193,8 @@ int main(int argc, char** argv) {
   }
 
   util::Table table({"Ranks", "Events", "Wall (s)", "Events/s", "Windows",
-                     "Peak stacks", "Stacks alloc", "VmHWM (MB)"});
+                     "Fiber resumes", "Head refreshes", "Peak stacks",
+                     "Stacks alloc", "VmHWM (MB)"});
   bool ok = true;
   for (int ranks : rank_rows) {
     RunOut out = run_workload(ranks, clusters, iters, shards, threads);
@@ -199,6 +204,8 @@ int main(int argc, char** argv) {
     table.add_row({std::to_string(ranks), std::to_string(out.events),
                    util::Table::fmt(out.wall_sec, 3), util::Table::fmt(eps, 0),
                    std::to_string(out.windows),
+                   std::to_string(out.fiber_resumes),
+                   std::to_string(out.head_refreshes),
                    std::to_string(out.peak_live_stacks),
                    std::to_string(out.stacks_allocated),
                    util::Table::fmt(rss_mb, 1)});

@@ -321,7 +321,7 @@ void SpbcProtocol::flood_wave_marker(int me, uint64_t epoch, int learned_from) {
   if (cs.marker_fwd >= epoch) return;
   cs.marker_fwd = epoch;
   const int cluster = machine_->cluster_of(me);
-  const std::vector<int> members = machine_->ranks_in_cluster(cluster);
+  const std::vector<int>& members = machine_->ranks_in_cluster(cluster);
   const int k = static_cast<int>(members.size());
   const int idx = static_cast<int>(
       std::lower_bound(members.begin(), members.end(), me) - members.begin());
@@ -344,7 +344,6 @@ void SpbcProtocol::flood_wave_marker(int me, uint64_t epoch, int learned_from) {
 void SpbcProtocol::run_coordinated_checkpoint(mpi::Rank& rank) {
   const int me = rank.rank();
   const int cluster = machine_->cluster_of(me);
-  const std::vector<int> members = machine_->ranks_in_cluster(cluster);
   auto& cs = ckpt_[static_cast<size_t>(me)];
   const uint64_t epoch = cs.snap_epoch + 1;
 
@@ -427,7 +426,7 @@ void SpbcProtocol::run_coordinated_checkpoint(mpi::Rank& rank) {
   if (machine_->config().tree_ckpt_markers) {
     flood_wave_marker(me, epoch, /*learned_from=*/-1);
   } else {
-    for (int m : members) {
+    for (int m : machine_->ranks_in_cluster(cluster)) {
       if (m == me) continue;
       mpi::ControlMsg msg;
       msg.kind = mpi::ControlMsg::Kind::kCkptMarker;
@@ -478,7 +477,7 @@ void SpbcProtocol::try_forward_aggregate(int member, uint64_t epoch) {
     cs.agg.erase(it);  // stale state from a superseded wave
     return;
   }
-  const std::vector<int> members = machine_->ranks_in_cluster(cluster);
+  const std::vector<int>& members = machine_->ranks_in_cluster(cluster);
   const int k = static_cast<int>(members.size());
   const int idx = static_cast<int>(
       std::lower_bound(members.begin(), members.end(), member) - members.begin());
@@ -533,7 +532,7 @@ void SpbcProtocol::commit_epoch(
   // destroys those copies needs an older, flushed epoch to fall back to.
   wave.committed = epoch;
   control_.on_commit();  // a re-plan point for the interval controller
-  const std::vector<int> members = machine_->ranks_in_cluster(cluster);
+  const std::vector<int>& members = machine_->ranks_in_cluster(cluster);
   uint64_t floor = epoch;
   if (staging_.async()) {
     for (int m : members) floor = std::min(floor, staging_.pfs_frontier(m));
@@ -664,7 +663,7 @@ void SpbcProtocol::on_failure(int victim_rank) {
   // (killed, restored, fibers not yet respawned) needs no further action —
   // the victim is already dead and the pending respawn covers everyone.
   if (restart_pending_.count(cluster)) return;
-  const std::vector<int> members = machine_->ranks_in_cluster(cluster);
+  const std::vector<int>& members = machine_->ranks_in_cluster(cluster);
   const sim::Time failure_time =
       machine_->engine().now() - machine_->config().failure_detection_delay;
   ++rollbacks_;
@@ -1335,6 +1334,7 @@ void SpbcProtocol::try_flip_migration() {
   const uint64_t pin = migration_.pin_b;
   if (wave_of(a).committed < boundary || wave_of(b).committed < pin) return;
   if (!cluster_quiescent(a) || !cluster_quiescent(b)) return;
+  // Copies: the flip below migrates ranks between exactly these clusters.
   const std::vector<int> a_members = machine_->ranks_in_cluster(a);
   const std::vector<int> b_members = machine_->ranks_in_cluster(b);
   if (staging_.enabled()) {

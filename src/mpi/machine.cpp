@@ -81,6 +81,10 @@ void Machine::set_cluster_of(std::vector<int> cluster_of) {
   SPBC_ASSERT(static_cast<int>(cluster_of.size()) == cfg_.nranks);
   cluster_of_ = std::move(cluster_of);
   nclusters_ = *std::max_element(cluster_of_.begin(), cluster_of_.end()) + 1;
+  members_.assign(static_cast<size_t>(nclusters_), {});
+  for (int r = 0; r < cfg_.nranks; ++r)
+    members_[static_cast<size_t>(cluster_of_[static_cast<size_t>(r)])]
+        .push_back(r);
   // Node colocation sanity: ranks on the same node must share a cluster
   // (Section 6.1 — containment inside a node is meaningless).
   if (cfg_.enforce_node_colocation) {
@@ -132,11 +136,9 @@ int Machine::cluster_of(int rank) const {
   return cluster_of_[static_cast<size_t>(rank)];
 }
 
-std::vector<int> Machine::ranks_in_cluster(int cluster) const {
-  std::vector<int> out;
-  for (int r = 0; r < cfg_.nranks; ++r)
-    if (cluster_of_[static_cast<size_t>(r)] == cluster) out.push_back(r);
-  return out;
+const std::vector<int>& Machine::ranks_in_cluster(int cluster) const {
+  SPBC_ASSERT(cluster >= 0 && cluster < nclusters_);
+  return members_[static_cast<size_t>(cluster)];
 }
 
 void Machine::launch(AppFn app) {
@@ -461,7 +463,13 @@ void Machine::retire_node(int node) {
 void Machine::migrate_rank(int r, int cluster) {
   SPBC_ASSERT(r >= 0 && r < cfg_.nranks);
   SPBC_ASSERT(cluster >= 0 && cluster < nclusters_);
-  cluster_of_[static_cast<size_t>(r)] = cluster;
+  int& cur = cluster_of_[static_cast<size_t>(r)];
+  if (cur == cluster) return;
+  std::vector<int>& from = members_[static_cast<size_t>(cur)];
+  from.erase(std::lower_bound(from.begin(), from.end(), r));
+  std::vector<int>& to = members_[static_cast<size_t>(cluster)];
+  to.insert(std::lower_bound(to.begin(), to.end(), r), r);
+  cur = cluster;
 }
 
 void Machine::kill_rank(int r) {

@@ -207,7 +207,9 @@ class Machine {
   void set_cluster_of(std::vector<int> cluster_of);
   int cluster_of(int rank) const;
   int nclusters() const { return nclusters_; }
-  std::vector<int> ranks_in_cluster(int cluster) const;
+  /// Members of `cluster`, ascending. The list is cached and changes under
+  /// migrate_rank, so callers that migrate while iterating take a copy.
+  const std::vector<int>& ranks_in_cluster(int cluster) const;
   /// Event-routing (key) shard of a rank: the cluster map frozen at
   /// set_cluster_of (migrations must not move a rank's events between
   /// shards mid-run — event order would depend on migration timing).
@@ -362,6 +364,7 @@ class Machine {
   std::vector<uint64_t> intra_outstanding_;
   std::vector<std::vector<std::function<void()>>> intra_drain_watchers_;
   std::vector<int> cluster_of_;
+  std::vector<std::vector<int>> members_;  // cluster -> sorted ranks
   int nclusters_ = 1;
   // Frozen rank -> shard snapshot (see shard_of).
   std::vector<int> shard_of_rank_;

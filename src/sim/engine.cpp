@@ -48,6 +48,13 @@ void Engine::set_shard_plan(int key_shards, int exec_shards) {
     shards_.push_back(std::move(sh));
   }
   key_seq_.assign(static_cast<size_t>(key_shards), 0);
+  const size_t n = shards_.size();
+  tree_leaves_ = 1;
+  while (tree_leaves_ < n) tree_leaves_ *= 2;
+  heads_.assign(n + 1, Head{});  // heads_[n]: the padding leaves' sentinel
+  tree_.assign(2 * tree_leaves_, static_cast<int>(n));
+  for (size_t s = 0; s < n; ++s) tree_[tree_leaves_ + s] = static_cast<int>(s);
+  dirty_heads_.clear();
 }
 
 bool Engine::in_shard_event() const {
@@ -115,9 +122,10 @@ EventQueue::EventId Engine::at_on(int target_key, Time t,
   }
   SPBC_ASSERT_MSG(t >= sh.now,
                   "scheduling into the past: t=" << t << " now=" << sh.now);
-  return make_gid(qidx, sh.queue.schedule_keyed(
-                            key, static_cast<uint32_t>(target_key),
-                            std::move(fn)));
+  const EventQueue::EventId local = sh.queue.schedule_keyed(
+      key, static_cast<uint32_t>(target_key), std::move(fn));
+  touch_head(qidx, in_parallel_context());
+  return make_gid(qidx, local);
 }
 
 EventQueue::EventId Engine::at_serial(Time t, std::function<void()> fn) {
@@ -179,6 +187,7 @@ void Engine::cancel(EventQueue::EventId id) {
     return;
   }
   sh.queue.cancel(local);
+  touch_head(qidx, in_parallel_context());
 }
 
 // ---------------------------------------------------------------------------
@@ -217,6 +226,7 @@ void Engine::resume_task(TaskId id) {
   if (!t.fiber || t.fiber->finished()) return;
   TaskId prev = tl.running_task;
   tl.running_task = id;
+  ++shards_[static_cast<size_t>(exec_of(t.key_shard))]->fiber_resumes;
   t.fiber->resume();
   tl.running_task = prev;
   // Finished fibers release their stack back to the shard's pool right away
@@ -300,12 +310,53 @@ void Engine::set_task_label(TaskId id, std::string label) {
 }
 
 // ---------------------------------------------------------------------------
+// Head selection
+// ---------------------------------------------------------------------------
+
+void Engine::touch_head(size_t s, bool parallel) {
+  ++shards_[s]->head_refreshes;
+  if (parallel || heads_[s].dirty) return;
+  heads_[s].dirty = true;
+  dirty_heads_.push_back(static_cast<int>(s));
+}
+
+void Engine::load_head(size_t s) {
+  const EventQueue& q = shards_[s]->queue;
+  Head& h = heads_[s];
+  h.live = !q.empty();
+  if (h.live) h.key = q.next_key();
+}
+
+void Engine::rebuild_heads() {
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    load_head(s);
+    heads_[s].dirty = false;
+  }
+  dirty_heads_.clear();
+  for (size_t i = tree_leaves_ - 1; i >= 1; --i)
+    tree_[i] = head_winner(tree_[2 * i], tree_[2 * i + 1]);
+}
+
+int Engine::select_head() {
+  for (int s : dirty_heads_) {
+    heads_[static_cast<size_t>(s)].dirty = false;
+    load_head(static_cast<size_t>(s));
+    for (size_t i = (tree_leaves_ + static_cast<size_t>(s)) / 2; i >= 1; i /= 2)
+      tree_[i] = head_winner(tree_[2 * i], tree_[2 * i + 1]);
+  }
+  dirty_heads_.clear();
+  const int w = tree_[1];
+  return heads_[static_cast<size_t>(w)].live ? w : -1;
+}
+
+// ---------------------------------------------------------------------------
 // Run loops
 // ---------------------------------------------------------------------------
 
 void Engine::exec_shard_one(int s, bool parallel) {
   ExecShard& sh = *shards_[static_cast<size_t>(s)];
   EventQueue::Popped p = sh.queue.pop_keyed();
+  touch_head(static_cast<size_t>(s), parallel);
   SPBC_ASSERT(p.key.t >= sh.now);
   sh.now = p.key.t;
   if (!parallel) global_now_ = std::max(global_now_, p.key.t);
@@ -334,34 +385,20 @@ void Engine::exec_serial_one() {
 
 Time Engine::run_merge(Time deadline, bool bounded) {
   stop_requested_.store(false, std::memory_order_relaxed);
+  rebuild_heads();  // a threaded run or a fresh plan may have left it stale
   for (;;) {
     if (stop_requested_.load(std::memory_order_relaxed)) break;
-    // N-way merge: pop the globally smallest (time, shard, seq) key — the
-    // same order for any exec-shard count.
-    bool have = false;
-    EventKey bk{};
-    int best = 0;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      EventQueue& q = shards_[s]->queue;
-      if (q.empty()) continue;
-      const EventKey& k = q.next_key();
-      if (!have || k < bk) {
-        have = true;
-        bk = k;
-        best = static_cast<int>(s);
-      }
-    }
-    bool serial_best = false;
-    if (!serial_q_.empty()) {
-      const EventKey& k = serial_q_.next_key();
-      if (!have || k < bk) {
-        have = true;
-        bk = k;
-        serial_best = true;
-      }
-    }
-    if (!have) break;
-    if (bounded && bk.t > deadline) break;
+    // Pop the globally smallest (time, shard, seq) key — the same order for
+    // any exec-shard count.
+    const int best = select_head();
+    const bool serial_best =
+        !serial_q_.empty() &&
+        (best < 0 ||
+         serial_q_.next_key() < heads_[static_cast<size_t>(best)].key);
+    if (best < 0 && !serial_best) break;
+    const Time t = serial_best ? serial_q_.next_time()
+                               : heads_[static_cast<size_t>(best)].key.t;
+    if (bounded && t > deadline) break;
     if (serial_best)
       exec_serial_one();
     else
@@ -383,6 +420,8 @@ void Engine::drain_mailboxes() {
       std::lock_guard<std::mutex> g(shp->mbox_mu);
       tmp.swap(shp->mbox);
     }
+    // Counted, not marked: the coordinator rebuilds the tree after draining.
+    shp->head_refreshes += tmp.size();
     for (Mail& m : tmp) {
       if (m.cancel)
         shp->queue.cancel(m.local_id);
@@ -425,28 +464,19 @@ Time Engine::run_threaded() {
     });
   }
 
+  rebuild_heads();
   for (;;) {
     if (stop_requested_.load(std::memory_order_relaxed)) break;
-    drain_mailboxes();
-    bool have = false;
-    EventKey kmin{};
-    int smin = 0;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      EventQueue& q = shards_[s]->queue;
-      if (q.empty()) continue;
-      const EventKey& k = q.next_key();
-      if (!have || k < kmin) {
-        have = true;
-        kmin = k;
-        smin = static_cast<int>(s);
-      }
-    }
-    bool have_serial = !serial_q_.empty();
-    if (have_serial && (!have || serial_q_.next_key() < kmin)) {
+    const int smin = select_head();
+    const bool have_serial = !serial_q_.empty();
+    if (have_serial &&
+        (smin < 0 ||
+         serial_q_.next_key() < heads_[static_cast<size_t>(smin)].key)) {
       exec_serial_one();
       continue;
     }
-    if (!have) break;
+    if (smin < 0) break;
+    const EventKey kmin = heads_[static_cast<size_t>(smin)].key;
     Time W = kmin.t + lookahead_;
     if (have_serial) W = std::min(W, serial_q_.next_time());
     if (!(W > kmin.t)) {
@@ -461,12 +491,15 @@ Time Engine::run_threaded() {
     ++windows_;
     start_b.arrive_and_wait();  // workers process their shards' t < W
     end_b.arrive_and_wait();
+    // The window marked no heads: apply its cross-shard mail, then re-read
+    // every shard's head.
+    drain_mailboxes();
+    rebuild_heads();
   }
 
   workers_exit_ = true;
   start_b.arrive_and_wait();
   for (auto& th : workers) th.join();
-  drain_mailboxes();  // apply leftovers from a stopped window
   // Parallel-window events advance only their shard's clock; fold them in so
   // the final time matches the merge loop's (it tracks every event).
   for (auto& sh : shards_) global_now_ = std::max(global_now_, sh->now);
@@ -503,6 +536,8 @@ Engine::Stats Engine::stats() const {
   Stats s;
   for (const auto& sh : shards_) {
     s.events += sh->events;
+    s.fiber_resumes += sh->fiber_resumes;
+    s.head_refreshes += sh->head_refreshes;
     s.live_stacks += sh->pool->live();
     s.peak_live_stacks += sh->pool->peak_live();  // sum of per-shard peaks
     s.stacks_allocated += sh->pool->allocated();

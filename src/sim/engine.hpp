@@ -12,11 +12,13 @@
 //     any exec width — and any worker-thread count — yields the same global
 //     event order, so fixed-seed results are bit-identical by construction.
 //
-// Single-threaded runs pop the globally smallest key across all queues (an
-// N-way merge; one queue is the trivial merge). The optional threaded
-// executor runs windows of conservative PDES: the coordinator picks
-// W = min(global_min.t + lookahead, next_serial.t) and workers execute their
-// own shards' events with t < W in parallel. The lookahead invariant — an
+// Single-threaded runs pop the globally smallest key across all queues: a
+// tournament tree over the exec-shard heads names the smallest one, and only
+// the shards an event touched are re-sifted before the next pop (one queue is
+// the trivial tree). The optional threaded executor runs windows of
+// conservative PDES: the coordinator reads global_min from the same tree,
+// picks W = min(global_min.t + lookahead, next_serial.t) and workers execute
+// their own shards' events with t < W in parallel. The lookahead invariant — an
 // event executing in a shard may only schedule onto *another* key shard, or
 // into the serial queue, at t >= now + lookahead — is asserted in every plan,
 // so cheap single-threaded runs validate what threaded runs rely on.
@@ -178,6 +180,11 @@ class Engine {
     size_t live_stacks = 0;      // fiber stacks currently in use
     size_t peak_live_stacks = 0;
     size_t stacks_allocated = 0;  // distinct stacks ever allocated
+    uint64_t fiber_resumes = 0;   // switches from the engine into a fiber
+    // Exec-shard head changes (pops, direct or mailed inserts, cancels). Each
+    // one costs the merge a leaf refresh; counted per operation, so the
+    // figure is the same for every exec-shard and thread layout.
+    uint64_t head_refreshes = 0;
   };
   Stats stats() const;
 
@@ -194,6 +201,8 @@ class Engine {
     Time now = kTimeZero;
     std::unique_ptr<StackPool> pool;
     uint64_t events = 0;
+    uint64_t fiber_resumes = 0;
+    uint64_t head_refreshes = 0;
     // Cross-shard inserts/cancels from threaded windows; drained by the
     // coordinator between windows.
     std::mutex mbox_mu;
@@ -210,6 +219,29 @@ class Engine {
     return key_shard % static_cast<int>(shards_.size());
   }
   bool in_shard_event() const;  // shard-event/fiber context on this engine
+
+  // ---- tournament tree over exec-shard heads -------------------------------
+  // Leaf s caches the key of shard s's earliest live event; every internal
+  // node holds whichever of its two children's shards has the smaller key, so
+  // the root names the globally smallest head. Outside parallel windows every
+  // pop, insert and cancel marks its shard dirty, and select_head() re-sifts
+  // only the dirty leaves, O(log S) each. Parallel windows mark nothing: the
+  // coordinator rebuilds the whole tree after each window, and run_merge
+  // rebuilds it on entry.
+  struct Head {
+    EventKey key;
+    bool live = false;   // the shard has a live event
+    bool dirty = false;  // listed in dirty_heads_
+  };
+  void touch_head(size_t s, bool parallel);
+  void load_head(size_t s);
+  int head_winner(int a, int b) const {
+    const Head& x = heads_[static_cast<size_t>(a)];
+    const Head& y = heads_[static_cast<size_t>(b)];
+    return y.live && (!x.live || y.key < x.key) ? b : a;
+  }
+  void rebuild_heads();
+  int select_head();  // exec shard with the smallest head, -1 when all empty
 
   void schedule_resume(TaskId id);
   void resume_task(TaskId id);
@@ -229,6 +261,10 @@ class Engine {
   }
 
   std::vector<std::unique_ptr<ExecShard>> shards_;
+  std::vector<Head> heads_;  // per exec shard, plus a never-live sentinel
+  std::vector<int> tree_;    // [1, P): internal nodes; [P, 2P): leaves
+  size_t tree_leaves_ = 1;   // P: exec shards rounded up to a power of two
+  std::vector<int> dirty_heads_;
   EventQueue serial_q_;
   std::mutex serial_mbox_mu_;
   std::vector<Mail> serial_mbox_;

@@ -1,5 +1,5 @@
 #pragma once
-// Stackful cooperative fibers built on ucontext, with pooled stacks.
+// Stackful cooperative fibers with pooled stacks.
 //
 // Each simulated MPI rank runs as one fiber with its own stack, so workload
 // code is written as ordinary blocking MPI-style code (no co_await, no state
@@ -14,10 +14,21 @@
 // untouched pages are never faulted in, so resident memory tracks the deepest
 // call chain actually reached, not the configured stack size.
 //
+// A switch is a plain function call on x86-64: it saves the callee-saved
+// registers (rbp, rbx, r12-r15), MXCSR and the x87 control word on the
+// outgoing stack and swaps the stack pointer, so a fiber costs two saved
+// stack pointers and a switch makes no system call. glibc's swapcontext,
+// the fallback on other architectures, makes a sigprocmask syscall on every
+// switch and keeps two ~1 KB ucontext_t per fiber.
+//
 // Failure injection kills a fiber by resuming it with a kill flag; the next
 // yield point throws FiberKilled, unwinding the stack so RAII cleanup runs.
 
+#if defined(__x86_64__)
+#define SPBC_FIBER_ASM_SWITCH 1
+#else
 #include <ucontext.h>
+#endif
 
 #include <cstdint>
 #include <functional>
@@ -29,6 +40,14 @@
 #elif defined(__has_feature)
 #if __has_feature(thread_sanitizer)
 #define SPBC_TSAN 1
+#endif
+#endif
+
+#if defined(__SANITIZE_ADDRESS__)
+#define SPBC_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SPBC_ASAN 1
 #endif
 #endif
 
@@ -105,20 +124,33 @@ class Fiber {
   static Fiber* current();
 
  private:
-  static void trampoline(unsigned hi, unsigned lo);
+  static void entry();  // first frame of every fiber; finds it via current()
   void init_context(size_t stack_size);
-  void run_body();
+  void switch_in();   // scheduler -> fiber
+  void switch_out();  // fiber -> scheduler
 
   std::function<void()> body_;
   StackPool* pool_ = nullptr;    // non-null: stack_ belongs to the pool
   unsigned char* stack_ = nullptr;
+#if SPBC_FIBER_ASM_SWITCH
+  void* sp_ = nullptr;        // the fiber's saved stack pointer
+  void* sched_sp_ = nullptr;  // the scheduler's, while the fiber runs
+#else
   ucontext_t ctx_{};
   ucontext_t sched_ctx_{};
+#endif
   State state_ = State::kReady;
   bool kill_requested_ = false;
 #if SPBC_TSAN
   void* tsan_fiber_ = nullptr;
   void* tsan_sched_fiber_ = nullptr;
+#endif
+#if SPBC_ASAN
+  // AddressSanitizer must be told which stack each switch lands on.
+  size_t stack_size_ = 0;
+  void* asan_fake_stack_ = nullptr;  // the fiber's, while switched out
+  const void* asan_sched_bottom_ = nullptr;
+  size_t asan_sched_size_ = 0;
 #endif
 };
 

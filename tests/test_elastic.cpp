@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <vector>
@@ -225,6 +226,56 @@ TEST(Elastic, RepartitionerMigratesUnderDrift) {
     EXPECT_EQ(res.finish_time, first_finish) << "shards=" << shards;
     EXPECT_EQ(map, first_map) << "shards=" << shards;
   }
+}
+
+// Machine caches each cluster's sorted member list. After a seeded storm of
+// migrations — no-op moves, clusters emptied and refilled included — every
+// list must equal a scan of cluster_of and stay sorted.
+TEST(Elastic, ClusterMembershipTracksMigrationStorm) {
+  const int n = 64, nclusters = 8;
+  MachineConfig cfg;
+  cfg.nranks = n;
+  cfg.ranks_per_node = 2;
+  std::vector<int> map(static_cast<size_t>(n));
+  for (int r = 0; r < n; ++r) map[static_cast<size_t>(r)] = r * nclusters / n;
+  Rig rig = make_rig(cfg, core::SpbcConfig{}, map);
+  Machine& m = *rig.machine;
+
+  auto scan = [&m, n](int c) {
+    std::vector<int> out;
+    for (int r = 0; r < n; ++r)
+      if (m.cluster_of(r) == c) out.push_back(r);
+    return out;
+  };
+  auto check_all = [&](const char* when, int step) {
+    for (int c = 0; c < nclusters; ++c) {
+      const std::vector<int>& got = m.ranks_in_cluster(c);
+      ASSERT_EQ(got, scan(c)) << when << " step " << step << " cluster " << c;
+      ASSERT_TRUE(std::is_sorted(got.begin(), got.end()));
+    }
+  };
+  check_all("installed", 0);
+
+  uint64_t x = 0x9E3779B97F4A7C15ull;
+  bool emptied = false;
+  for (int step = 1; step <= 3000; ++step) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const int r = static_cast<int>(x % n);
+    // Skew toward the low clusters so the high ones drain and refill.
+    const int c = static_cast<int>((x >> 20) % (step % 500 < 250 ? 3 : 8));
+    m.migrate_rank(r, c);
+    ASSERT_EQ(m.cluster_of(r), c);
+    for (int k = 0; k < nclusters; ++k)
+      if (m.ranks_in_cluster(k).empty()) emptied = true;
+    if (step % 50 == 0) check_all("storm", step);
+  }
+  check_all("end", 3000);
+  EXPECT_TRUE(emptied);
+  // Re-installing a map rebuilds the lists from scratch.
+  m.set_cluster_of(map);
+  check_all("reinstalled", 0);
 }
 
 // Determinism across shard layouts: the elastic trajectory (hot-swap,

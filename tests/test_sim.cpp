@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
+
+#if defined(__x86_64__)
+#include <xmmintrin.h>
+#endif
 
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fiber.hpp"
 #include "sim/topology.hpp"
 
 namespace spbc::sim {
@@ -111,6 +119,135 @@ TEST(Engine, KillUnwindsStackWithDestructors) {
   e.run();
   EXPECT_TRUE(destroyed);
   EXPECT_TRUE(e.task_finished(id));
+}
+
+TEST(Engine, KillUnwindsAfterManySwitches) {
+  Engine e;
+  bool destroyed = false;
+  struct Sentinel {
+    bool* flag;
+    ~Sentinel() { *flag = true; }
+  };
+  Engine::TaskId id = e.spawn([&] {
+    Sentinel s{&destroyed};
+    for (;;) e.wait(1.0);  // one park/resume round trip per virtual second
+  });
+  e.at(10000.5, [&] { e.kill(id); });
+  e.run();
+  EXPECT_TRUE(destroyed);
+  EXPECT_TRUE(e.task_finished(id));
+  // The first start, 10,000 wait wake-ups, and the kill.
+  EXPECT_EQ(e.stats().fiber_resumes, 10002u);
+}
+
+// A 16-byte-aligned local must land on a 16-byte boundary: the first frame of
+// a fiber starts with the ABI stack alignment, and every later frame keeps
+// it, before and after a switch.
+bool aligned_local_ok() {
+  alignas(16) volatile unsigned char buf[16];
+  buf[0] = 1;
+  return reinterpret_cast<uintptr_t>(&buf[0]) % 16 == 0;
+}
+
+TEST(Fiber, LocalsKeepAbiAlignment) {
+  std::vector<bool> ok;
+  Fiber f(
+      [&ok] {
+        ok.push_back(aligned_local_ok());
+        Fiber::current()->yield();
+        ok.push_back(aligned_local_ok());
+      },
+      64 * 1024);
+  f.resume();
+  f.resume();
+  EXPECT_TRUE(f.finished());
+  EXPECT_EQ(ok, (std::vector<bool>{true, true}));
+}
+
+void throw_from_depth(int depth) {
+  if (depth == 0) throw std::runtime_error("inside the fiber");
+  throw_from_depth(depth - 1);
+}
+
+TEST(Fiber, ExceptionThrownAndCaughtInsideBody) {
+  int caught = 0;
+  Fiber f(
+      [&caught] {
+        try {
+          throw_from_depth(8);
+        } catch (const std::runtime_error&) {
+          ++caught;
+        }
+        Fiber::current()->yield();
+        // Again after a switch, from the resumed stack.
+        try {
+          throw_from_depth(3);
+        } catch (const std::runtime_error&) {
+          ++caught;
+        }
+      },
+      64 * 1024);
+  f.resume();
+  EXPECT_EQ(caught, 1);
+  f.resume();
+  EXPECT_EQ(caught, 2);
+  EXPECT_TRUE(f.finished());
+}
+
+// Rounding mode is per fiber: a switch saves the outgoing context's
+// floating-point control state and restores the incoming one's.
+double third() {
+  volatile double one = 1.0, three = 3.0;
+  return one / three;
+}
+
+bool rounds_upward() {
+#if defined(__x86_64__)
+  // SSE arithmetic follows MXCSR; fegetround reports the x87 control word.
+  if ((_mm_getcsr() & 0x6000u) != 0x4000u) return false;
+#endif
+  return std::fegetround() == FE_UPWARD;
+}
+
+bool rounds_to_nearest() {
+#if defined(__x86_64__)
+  if ((_mm_getcsr() & 0x6000u) != 0u) return false;
+#endif
+  return std::fegetround() == FE_TONEAREST;
+}
+
+TEST(Fiber, RoundingModeStaysInsideItsFiber) {
+  ASSERT_TRUE(rounds_to_nearest());
+  const double nearest = third();
+  double up_a = 0, seen_b = 0;
+  bool a_kept_mode = false, b_saw_nearest = false;
+  Fiber a(
+      [&] {
+        std::fesetround(FE_UPWARD);
+        up_a = third();
+        Fiber::current()->yield();
+        a_kept_mode = rounds_upward();
+        std::fesetround(FE_TONEAREST);
+      },
+      64 * 1024);
+  Fiber b(
+      [&] {
+        b_saw_nearest = rounds_to_nearest();
+        seen_b = third();
+      },
+      64 * 1024);
+  a.resume();
+  EXPECT_NE(up_a, nearest);  // the mode really changed inside a
+  EXPECT_TRUE(rounds_to_nearest()) << "leaked into the scheduler";
+  EXPECT_EQ(third(), nearest);
+  b.resume();
+  EXPECT_TRUE(b_saw_nearest) << "leaked into a second fiber";
+  EXPECT_EQ(seen_b, nearest);
+  a.resume();
+  EXPECT_TRUE(a_kept_mode) << "lost across a switch";
+  EXPECT_TRUE(rounds_to_nearest());
+  EXPECT_TRUE(a.finished());
+  EXPECT_TRUE(b.finished());
 }
 
 TEST(Engine, DeadlockDetectedGracefully) {
