@@ -23,11 +23,6 @@ inline std::unique_ptr<mpi::ProtocolHooks> make_native() {
   return std::make_unique<mpi::NativeProtocol>();
 }
 
-inline std::unique_ptr<core::SpbcProtocol> make_global_coordinated(
-    core::SpbcConfig cfg = {}) {
-  return std::make_unique<core::SpbcProtocol>(cfg);
-}
-
 /// Cluster map with everyone in cluster 0 (global coordinated).
 inline std::vector<int> single_cluster_map(int nranks) {
   return std::vector<int>(static_cast<size_t>(nranks), 0);

@@ -27,12 +27,6 @@ void StagingArea::attach(mpi::Machine& machine) {
   stats_rows_ = std::vector<StagingStats>(nranks > 0 ? nranks : 1);
 }
 
-const RedundancyScheme& StagingArea::active_scheme() const {
-  return active_scheme_ == 1 && escalated_scheme_ != nullptr
-             ? *escalated_scheme_
-             : *scheme_;
-}
-
 void StagingArea::set_scheme_escalated(bool escalated) {
   if (escalated_scheme_ == nullptr) return;
   active_scheme_ = escalated ? 1 : 0;

@@ -177,12 +177,9 @@ class StagingArea : public ResidencyView {
   const StagingConfig& config() const { return cfg_; }
   const RedundancyScheme& scheme() const { return *scheme_; }
 
-  /// The scheme that encodes NEW epochs (escalation switches it; epochs
-  /// already written keep the scheme that encoded them).
-  const RedundancyScheme& active_scheme() const;
-  bool scheme_escalated() const { return active_scheme_ != 0; }
-  /// Serial context only: route future epochs through the escalated (or
-  /// base) scheme. No-op unless `prepare_escalated` built one at attach.
+  /// Serial context only: route NEW epochs through the escalated (or base)
+  /// scheme; epochs already written keep the scheme that encoded them.
+  /// No-op unless `prepare_escalated` built one at attach.
   void set_scheme_escalated(bool escalated);
 
   /// The buddy rank whose node hosts this rank's PARTNER copies: the same

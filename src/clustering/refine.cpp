@@ -9,6 +9,9 @@ namespace spbc::clustering {
 
 namespace {
 
+// Cap on the refinement's full passes over the node groups.
+constexpr int kMaxRounds = 20;
+
 struct MaxEntry {
   uint64_t val = 0;
   int rank = 0;
@@ -38,7 +41,7 @@ class Refiner {
     double current = objective_now();
     bool improved = true;
     int rounds = 0;
-    while (improved && rounds < p_.max_rounds) {
+    while (improved && rounds < kMaxRounds) {
       improved = false;
       ++rounds;
       for (int u = 0; u < units_.n; ++u) {

@@ -34,7 +34,6 @@ enum class Objective { kMinTotalLogged, kBalancedLogged };
 struct RefineParams {
   int k = 1;
   Objective objective = Objective::kMinTotalLogged;
-  int max_rounds = 20;
   int node_cap = 0;  // max node groups per cluster (seed: ceil(g/k) + 1)
   /// Debug/property-test mode: after every applied move, recompute the
   /// objective from scratch and assert it equals the incremental value.

@@ -6,30 +6,11 @@
 
 namespace spbc::clustering {
 
-namespace {
-
-/// Exact cut change of moving every rank of a unit to `to`, evaluated by
-/// applying the per-rank moves sequentially on `scratch` (cut_delta is exact
-/// only against the map it is given, so batch members must see each other).
-/// Mutates `scratch`; callers pass a throwaway copy.
-int64_t unit_delta(const CommGraph& graph, std::vector<int>& scratch,
-                   const std::vector<int>& ranks, int to) {
-  int64_t delta = 0;
-  for (int r : ranks) {
-    delta += graph.cut_delta(scratch, r, to);
-    scratch[static_cast<size_t>(r)] = to;
-  }
-  return delta;
-}
-
-}  // namespace
-
-std::vector<NodeMove> StreamingRepartitioner::plan(
+std::optional<NodeMove> StreamingRepartitioner::plan(
     const CommGraph& graph, const std::vector<int>& cluster_of,
     const std::vector<int>& unit_of_rank, int nclusters) const {
   SPBC_ASSERT(cluster_of.size() == unit_of_rank.size());
-  std::vector<NodeMove> moves;
-  if (nclusters <= 1 || cluster_of.empty()) return moves;
+  if (nclusters <= 1 || cluster_of.empty()) return std::nullopt;
 
   // Group ranks by colocation unit and check the invariant: one cluster per
   // unit. Units are dense-ish small ints (physical node ids).
@@ -39,7 +20,6 @@ std::vector<NodeMove> StreamingRepartitioner::plan(
   for (size_t r = 0; r < unit_of_rank.size(); ++r)
     unit_ranks[static_cast<size_t>(unit_of_rank[r])].push_back(
         static_cast<int>(r));
-  std::vector<int> unit_cluster(unit_ranks.size(), -1);
   std::vector<int> cluster_units(static_cast<size_t>(nclusters), 0);
   for (size_t u = 0; u < unit_ranks.size(); ++u) {
     if (unit_ranks[u].empty()) continue;
@@ -47,44 +27,34 @@ std::vector<NodeMove> StreamingRepartitioner::plan(
     for (int r : unit_ranks[u])
       SPBC_ASSERT_MSG(cluster_of[static_cast<size_t>(r)] == c,
                       "colocation invariant violated at unit " << u);
-    unit_cluster[u] = c;
     ++cluster_units[static_cast<size_t>(c)];
   }
 
+  // cut_delta is exact only against the map it is given, so a unit's ranks
+  // are moved one by one on `scratch` and put back after each candidate.
   std::vector<int> scratch = cluster_of;
-  for (int round = 0; round < cfg_.max_moves; ++round) {
-    int best_unit = -1, best_to = -1;
-    int64_t best_delta = 0;  // only strictly negative (cut-reducing) moves
-    for (size_t u = 0; u < unit_ranks.size(); ++u) {
-      if (unit_ranks[u].empty()) continue;
-      const int from = unit_cluster[u];
-      if (cluster_units[static_cast<size_t>(from)] <= cfg_.min_cluster_nodes)
-        continue;  // source would fall below the floor
-      for (int to = 0; to < nclusters; ++to) {
-        if (to == from) continue;
-        std::vector<int> trial = scratch;
-        const int64_t delta = unit_delta(graph, trial, unit_ranks[u], to);
-        if (delta < best_delta) {
-          best_delta = delta;
-          best_unit = static_cast<int>(u);
-          best_to = to;
-        }
+  std::optional<NodeMove> best;
+  int64_t best_delta = 0;  // only strictly negative (cut-reducing) moves
+  for (size_t u = 0; u < unit_ranks.size(); ++u) {
+    const std::vector<int>& ranks = unit_ranks[u];
+    if (ranks.empty()) continue;
+    const int from = cluster_of[static_cast<size_t>(ranks.front())];
+    if (cluster_units[static_cast<size_t>(from)] <= 1) continue;
+    for (int to = 0; to < nclusters; ++to) {
+      if (to == from) continue;
+      int64_t delta = 0;
+      for (int r : ranks) {
+        delta += graph.cut_delta(scratch, r, to);
+        scratch[static_cast<size_t>(r)] = to;
+      }
+      for (int r : ranks) scratch[static_cast<size_t>(r)] = from;
+      if (delta < best_delta) {
+        best_delta = delta;
+        best = NodeMove{static_cast<int>(u), ranks, from, to};
       }
     }
-    if (best_unit < 0) break;  // no strictly-improving move remains
-    NodeMove mv;
-    mv.unit = best_unit;
-    mv.ranks = unit_ranks[static_cast<size_t>(best_unit)];
-    mv.from = unit_cluster[static_cast<size_t>(best_unit)];
-    mv.to = best_to;
-    mv.gain = -best_delta;
-    for (int r : mv.ranks) scratch[static_cast<size_t>(r)] = best_to;
-    --cluster_units[static_cast<size_t>(mv.from)];
-    ++cluster_units[static_cast<size_t>(best_to)];
-    unit_cluster[static_cast<size_t>(best_unit)] = best_to;
-    moves.push_back(std::move(mv));
   }
-  return moves;
+  return best;
 }
 
 }  // namespace spbc::clustering

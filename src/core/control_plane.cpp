@@ -5,13 +5,18 @@
 
 namespace spbc::core {
 
+namespace {
+// Gaps each estimator needs before the observed rate replaces its prior.
+constexpr int kMinSamples = 2;
+}  // namespace
+
 ControlPlane::ControlPlane(const ControlPlaneConfig& cfg,
                            const ckpt::StorageCostModel& model)
     : cfg_(cfg),
       model_(model),
-      any_(cfg.window, cfg.min_samples, cfg.prior_mtbf),
-      storage_(cfg.window, cfg.min_samples, cfg.prior_storage_mtbf),
-      dbl_(cfg.window, cfg.min_samples, cfg.prior_double_mtbf) {}
+      any_(cfg.window, kMinSamples, cfg.prior_mtbf),
+      storage_(cfg.window, kMinSamples, cfg.prior_storage_mtbf),
+      dbl_(cfg.window, kMinSamples, cfg.prior_double_mtbf) {}
 
 void ControlPlane::note_failure(sim::Time now, bool storage_lost, int node) {
   if (!cfg_.enabled) return;
@@ -103,7 +108,7 @@ uint64_t ControlPlane::redundancy_stride() const {
   const double stride = std::round(t / local_interval());
   return std::clamp<uint64_t>(
       stride < 1.0 ? 1 : static_cast<uint64_t>(stride), 1,
-      cfg_.max_level_stride);
+      kMaxLevelStride);
 }
 
 uint64_t ControlPlane::pfs_stride() const {
@@ -116,7 +121,7 @@ uint64_t ControlPlane::pfs_stride() const {
   const double stride = std::round(t / local_interval());
   return std::clamp<uint64_t>(
       stride < 1.0 ? 1 : static_cast<uint64_t>(stride), 1,
-      cfg_.max_level_stride);
+      kMaxLevelStride);
 }
 
 ckpt::LevelPlan ControlPlane::plan_for_epoch(uint64_t epoch) const {

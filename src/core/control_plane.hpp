@@ -80,7 +80,6 @@ class RateEstimator {
   }
 
   int samples() const { return static_cast<int>(gaps_.size()); }
-  sim::Time last_event() const { return last_; }
 
  private:
   int window_ = 32;
@@ -97,8 +96,7 @@ struct ControlPlaneConfig {
   bool enabled = false;
 
   // ---- failure-rate estimation ----
-  int window = 32;      // inter-failure gaps kept per failure class
-  int min_samples = 2;  // gaps before the observed rate replaces the prior
+  int window = 32;  // inter-failure gaps kept per failure class
   double prior_mtbf = 10.0;          // any-failure prior (virtual seconds)
   double prior_storage_mtbf = 20.0;  // node-loss (storage-destroying) prior
   double prior_double_mtbf = 200.0;  // correlated double-loss prior
@@ -109,7 +107,6 @@ struct ControlPlaneConfig {
   // ---- interval planner ----
   sim::Time min_interval = 1e-3;  // clamps on the LOCAL epoch interval
   sim::Time max_interval = 60.0;
-  uint64_t max_level_stride = 64;  // clamp on redundancy/PFS epoch strides
   /// Snapshot-size seed for the Daly cost terms until a real write is seen.
   uint64_t snapshot_bytes_hint = 1 << 20;
 
@@ -124,13 +121,14 @@ struct ControlPlaneConfig {
 
   // ---- online repartitioning ----
   /// Cadence of the streaming repartitioner's drift check (0 = never): every
-  /// period the protocol asks clustering::StreamingRepartitioner for
-  /// cut-reducing node moves against the live traffic matrix and migrates
-  /// them through the quiescence bridge (DESIGN.md §14).
+  /// period the protocol asks clustering::StreamingRepartitioner for the
+  /// best cut-reducing node move against the live traffic matrix and
+  /// migrates it through the quiescence bridge (DESIGN.md §14).
   sim::Time repartition_period = 0;
-  /// Most colocation units migrated per cadence tick.
-  int repartition_max_moves = 1;
 };
+
+/// Clamp on the redundancy and PFS epoch strides.
+inline constexpr uint64_t kMaxLevelStride = 64;
 
 struct ControlPlaneStats {
   uint64_t failures = 0;        // injected failure events observed

@@ -104,9 +104,6 @@ void SpbcProtocol::attach(mpi::Machine& machine) {
 const SenderLog& SpbcProtocol::log_of(int rank) const {
   return logs_.at(static_cast<size_t>(rank));
 }
-SenderLog& SpbcProtocol::log_of_mut(int rank) {
-  return logs_.at(static_cast<size_t>(rank));
-}
 const Replayer& SpbcProtocol::replayer_of(int rank) const {
   return replayers_.at(static_cast<size_t>(rank));
 }
@@ -1298,18 +1295,11 @@ void SpbcProtocol::try_announce_migration() {
   }
   clustering::CommGraph graph =
       clustering::CommGraph::from_traffic(n, machine_->traffic());
-  clustering::RepartitionConfig rc;
-  rc.max_moves = cfg_.control.repartition_max_moves < 1
-                     ? 1
-                     : cfg_.control.repartition_max_moves;
-  const std::vector<clustering::NodeMove> moves =
-      clustering::StreamingRepartitioner(rc).plan(graph, cluster_of, unit_of,
-                                                  nclusters);
-  if (moves.empty()) return;
-  // The bridge carries ONE unit at a time; later planned moves are recomputed
-  // by the next announce against the post-flip map (their gains assumed the
-  // earlier moves already applied).
-  const clustering::NodeMove& mv = moves.front();
+  const std::optional<clustering::NodeMove> planned =
+      clustering::StreamingRepartitioner().plan(graph, cluster_of, unit_of,
+                                                nclusters);
+  if (!planned) return;
+  const clustering::NodeMove& mv = *planned;
   if (!cluster_quiescent(mv.from) || !cluster_quiescent(mv.to)) return;
   migration_.active = true;
   migration_.ranks = mv.ranks;

@@ -167,7 +167,6 @@ class SpbcProtocol : public mpi::ProtocolHooks {
 
   // ---- introspection ----------------------------------------------------
   const SenderLog& log_of(int rank) const;
-  SenderLog& log_of_mut(int rank);
   const Replayer& replayer_of(int rank) const;
   const ckpt::Store& store() const { return store_; }
   const ckpt::StagingArea& staging() const { return staging_; }
@@ -176,9 +175,6 @@ class SpbcProtocol : public mpi::ProtocolHooks {
   ckpt::StagingArea& staging_mut() { return staging_; }
   const ControlPlane& control_plane() const { return control_; }
   const SpbcConfig& config() const { return cfg_; }
-  /// An online repartition bridge is between announce and flip (DESIGN.md
-  /// §14): one colocation unit is being walked to a new cluster.
-  bool migration_active() const { return migration_.active; }
   uint64_t checkpoints_taken() const { return store_.snapshots_taken(); }
   uint64_t rollbacks() const { return rollbacks_; }
   /// Staging residency mask (ckpt::ResidencyBit) of this rank's snapshot at

@@ -12,8 +12,6 @@ const char* protocol_name(ProtocolKind k) {
       return "MPICH";
     case ProtocolKind::kSpbc:
       return "SPBC";
-    case ProtocolKind::kSpbcNoIds:
-      return "SPBC(no ids)";
     case ProtocolKind::kHydee:
       return "HydEE";
     case ProtocolKind::kGlobalCoordinated:
@@ -43,27 +41,6 @@ mpi::MachineConfig machine_config_for(const ScenarioConfig& cfg) {
   return mc;
 }
 
-/// Folds the hostile matrix into the sub-configs it forwards to. Only knobs
-/// the hostile block actually sets are copied, so shapes configured directly
-/// on app_cfg / machine / spbc compose instead of being clobbered.
-void apply_hostile(ScenarioConfig& cfg) {
-  const HostileConfig& h = cfg.hostile;
-  if (h.burst_factor > 1.0) {
-    cfg.app_cfg.burst_factor = h.burst_factor;
-    cfg.app_cfg.burst_period = h.burst_period;
-    cfg.app_cfg.burst_duty = h.burst_duty;
-  }
-  if (h.straggler_factor > 1.0) {
-    cfg.machine.straggler_factor = h.straggler_factor;
-    cfg.machine.straggler_frac = h.straggler_frac;
-    cfg.machine.straggler_seed = h.straggler_seed;
-  }
-  for (const net::PartitionPhase& p : h.partitions)
-    cfg.machine.net.partitions.push_back(p);
-  for (const ckpt::PfsInterferencePhase& p : h.pfs_interference)
-    cfg.spbc.pfs_interference.push_back(p);
-}
-
 /// PHYSICAL nodes of one failure domain (HostileConfig geometry).
 std::vector<int> domain_nodes(const HostileConfig& h, int nodes,
                               const DomainFailure& d) {
@@ -76,9 +53,8 @@ std::vector<int> domain_nodes(const HostileConfig& h, int nodes,
       break;
     }
     case FailureDomain::kSwitch: {
-      SPBC_ASSERT(h.switch_count > 0);
       for (int n = 0; n < nodes; ++n)
-        if (n % h.switch_count == d.index % h.switch_count) out.push_back(n);
+        if (n % kSwitchCount == d.index % kSwitchCount) out.push_back(n);
       break;
     }
     case FailureDomain::kPsu: {
@@ -99,11 +75,6 @@ std::unique_ptr<mpi::ProtocolHooks> make_protocol(const ScenarioConfig& cfg) {
     case ProtocolKind::kGlobalCoordinated:
     case ProtocolKind::kPureLogging:
       return std::make_unique<core::SpbcProtocol>(cfg.spbc);
-    case ProtocolKind::kSpbcNoIds: {
-      core::SpbcConfig c = cfg.spbc;
-      c.pattern_ids = false;
-      return std::make_unique<core::SpbcProtocol>(c);
-    }
     case ProtocolKind::kHydee: {
       baselines::HydeeConfig h = cfg.hydee;
       h.base = cfg.spbc;
@@ -134,11 +105,11 @@ std::vector<int> compute_cluster_map(const ScenarioConfig& cfg) {
     clustering::Partitioner part(empty, topo);
     return part.block_partition(cfg.nclusters).cluster_of;
   }
-  // Section 6.1 methodology: run a few iterations, collect communication
-  // statistics, feed them to the clustering tool.
+  // Section 6.1 methodology: run a few (three) iterations, collect
+  // communication statistics, feed them to the clustering tool.
   ScenarioConfig trace_cfg = cfg;
   trace_cfg.protocol = ProtocolKind::kNative;
-  trace_cfg.app_cfg.iters = cfg.trace_iters;
+  trace_cfg.app_cfg.iters = 3;
   trace_cfg.inject_failure = false;
   mpi::MachineConfig mc = machine_config_for(trace_cfg);
   mpi::Machine machine(mc, baselines::make_native());
@@ -153,11 +124,7 @@ std::vector<int> compute_cluster_map(const ScenarioConfig& cfg) {
   return part.partition(cfg.nclusters, cfg.objective).cluster_of;
 }
 
-ScenarioResult run_scenario(const ScenarioConfig& cfg_in) {
-  // Fold the hostile matrix into the sub-configs on a local copy — the
-  // caller's config object is never mutated.
-  ScenarioConfig cfg = cfg_in;
-  apply_hostile(cfg);
+ScenarioResult run_scenario(const ScenarioConfig& cfg) {
   mpi::MachineConfig mc = machine_config_for(cfg);
   mpi::Machine machine(mc, make_protocol(cfg));
   std::vector<int> cluster_of = compute_cluster_map(cfg);
@@ -210,7 +177,7 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg_in) {
     for (int node : domain_nodes(cfg.hostile, machine.topology().nodes(), d)) {
       int victim = node * cfg.ranks_per_node;
       if (victim >= cfg.nranks) continue;
-      machine.inject_failure(d.at + i * cfg.hostile.domain_stagger, victim);
+      machine.inject_failure(d.at + i * kDomainStagger, victim);
       ++domain_injected;
       ++i;
     }

@@ -26,8 +26,7 @@ namespace spbc::harness {
 
 enum class ProtocolKind {
   kNative,             // unmodified library (the paper's "MPICH" bars)
-  kSpbc,               // SPBC with id-based matching
-  kSpbcNoIds,          // Algorithm 1 without the A->A' transformation
+  kSpbc,               // SPBC (SpbcConfig::pattern_ids picks the matching)
   kHydee,              // HydEE baseline (centralized recovery)
   kGlobalCoordinated,  // one cluster: classic coordinated checkpointing
   kPureLogging,        // one cluster per rank (Table 1, 512-cluster row)
@@ -38,53 +37,37 @@ const char* protocol_name(ProtocolKind k);
 /// Hardware failure domains for correlated multi-node losses (hostile
 /// workload matrix; DESIGN.md §16). Geometry over PHYSICAL node ids:
 ///   kRack:   contiguous blocks of HostileConfig::rack_size nodes
-///   kSwitch: leaf switch `s` serves every node with n % switch_count == s
+///   kSwitch: leaf switch `s` serves every node with n % kSwitchCount == s
 ///   kPsu:    a power rail feeds node pairs {2k, 2k+1}
 enum class FailureDomain { kRack, kSwitch, kPsu };
 
+/// Leaf switches of the kSwitch domain geometry.
+inline constexpr int kSwitchCount = 2;
+/// Gap between the per-node losses of one domain failure: inside the control
+/// plane's correlation window (ControlPlaneConfig::correlation_window, 0.05),
+/// so its estimator sees them as correlated doubles.
+inline constexpr sim::Time kDomainStagger = 0.01;
+
 /// One correlated domain loss: every node in the domain fails, staggered by
-/// HostileConfig::domain_stagger so the control plane's correlation window
-/// (ControlPlaneConfig::correlation_window) sees them as correlated doubles.
+/// kDomainStagger.
 struct DomainFailure {
   sim::Time at = 0;
   FailureDomain domain = FailureDomain::kRack;
   int index = 0;  // which rack / switch / power rail
 };
 
-/// Hostile workload matrix (DESIGN.md §16): one composable knob block per
-/// shape, all off by default (a default HostileConfig leaves the run
-/// byte-identical). Each shape can also be set directly on the sub-config
-/// it forwards to (app_cfg burst_*, machine straggler_*, machine.net
-/// partitions, spbc pfs_interference) — this block exists so scenarios and
-/// benches can express a whole hostile profile in one place and compose it
-/// with any redundancy scheme, spare pool, and reduction config.
+/// Correlated failure domains of the hostile workload matrix (DESIGN.md
+/// §16). The other hostile shapes are set on the sub-config they belong to:
+/// apps::AppConfig::burst_*, mpi::MachineConfig::straggler_*,
+/// net::NetworkParams::partitions and core::SpbcConfig::pfs_interference.
 struct HostileConfig {
-  // Bursty / adversarial traffic phases -> apps::AppConfig::burst_*.
-  double burst_factor = 1.0;
-  int burst_period = 0;
-  int burst_duty = 1;
-  // Straggler / slow-node skew -> mpi::MachineConfig::straggler_*.
-  double straggler_factor = 1.0;
-  double straggler_frac = 0.0;
-  uint64_t straggler_seed = 0;
-  // Healing network partitions -> net::NetworkParams::partitions.
-  std::vector<net::PartitionPhase> partitions;
-  // Multi-job PFS interference -> core::SpbcConfig::pfs_interference.
-  std::vector<ckpt::PfsInterferencePhase> pfs_interference;
-  // Correlated rack / switch / PSU failure domains (expanded into one
-  // per-node failure each, staggered by domain_stagger; the machine's
-  // default_failure_kind decides severity, so elastic suites get permanent
-  // losses for free).
+  // Rack / switch / PSU losses, expanded into one per-node failure each,
+  // staggered by kDomainStagger. The machine's default_failure_kind decides
+  // severity, so elastic suites get permanent losses for free.
   std::vector<DomainFailure> domain_failures;
   int rack_size = 4;
-  int switch_count = 2;
-  sim::Time domain_stagger = 0.01;  // < correlation_window (0.05) by default
 
-  bool any() const {
-    return burst_factor > 1.0 || straggler_factor > 1.0 ||
-           !partitions.empty() || !pfs_interference.empty() ||
-           !domain_failures.empty();
-  }
+  bool any() const { return !domain_failures.empty(); }
 };
 
 struct ScenarioConfig {
@@ -102,7 +85,6 @@ struct ScenarioConfig {
   /// partition of nodes.
   bool use_clustering_tool = true;
   clustering::Objective objective = clustering::Objective::kMinTotalLogged;
-  int trace_iters = 3;  // iterations of the traced clustering run
 
   /// Failure injection.
   bool inject_failure = false;
@@ -129,8 +111,8 @@ struct ScenarioConfig {
   /// restore-path audit discovers it. Requires an SPBC-family protocol.
   std::vector<std::pair<sim::Time, uint64_t>> silent_losses;
 
-  /// Hostile workload matrix (see HostileConfig). Applied on top of the
-  /// sub-configs at run time; a default value changes nothing.
+  /// Correlated failure domains (see HostileConfig); a default value
+  /// changes nothing.
   HostileConfig hostile;
 };
 

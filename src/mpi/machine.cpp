@@ -11,7 +11,6 @@ constexpr uint64_t kHeaderBytes = 64;
 
 Machine::Machine(MachineConfig cfg, std::unique_ptr<ProtocolHooks> protocol)
     : cfg_(cfg),
-      engine_(cfg.fiber_stack_bytes),
       topo_(sim::Topology::for_ranks(cfg.nranks, cfg.ranks_per_node,
                                      cfg.spare_nodes)),
       net_(engine_, topo_, cfg.net),
@@ -70,7 +69,11 @@ Machine::Machine(MachineConfig cfg, std::unique_ptr<ProtocolHooks> protocol)
   set_cluster_of(std::vector<int>(static_cast<size_t>(cfg.nranks), 0));
 }
 
-Machine::~Machine() = default;
+Machine::~Machine() {
+  // Parked rank frames (a deadlocked or unfinished run) refer to the ranks,
+  // the protocol and the network; unwind them while those still exist.
+  engine_.unwind_parked();
+}
 
 Rank& Machine::rank(int r) {
   SPBC_ASSERT(r >= 0 && r < cfg_.nranks);
@@ -527,13 +530,6 @@ std::vector<unsigned char> Machine::take_pending_app_state(int r) {
   auto bytes = std::move(pending_app_state_[static_cast<size_t>(r)]);
   pending_app_state_[static_cast<size_t>(r)].clear();
   return bytes;
-}
-
-std::vector<Envelope> Machine::pending_rendezvous_envelopes() const {
-  std::vector<Envelope> out;
-  for (const auto& row : rendezvous_)
-    for (const auto& [id, pr] : row) out.push_back(pr.env);
-  return out;
 }
 
 std::map<ChannelKey, std::vector<uint64_t>> Machine::send_trace() const {

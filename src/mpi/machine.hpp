@@ -65,7 +65,6 @@ struct MachineConfig {
   double compute_noise_frac = 0.0;
   sim::Time failure_detection_delay = sim::msec(1.0);
   sim::Time restart_delay = sim::msec(5.0);  // process relaunch + ckpt read
-  size_t fiber_stack_bytes = 256 * 1024;
   uint64_t seed = 1;
   bool record_send_trace = false;  // per-channel send hashes (determinism checks)
   bool abort_on_deadlock = true;
@@ -285,8 +284,6 @@ class Machine {
   std::map<int, std::vector<OrphanSend>> take_rendezvous_to_if(
       const std::function<bool(int)>& pred, int src);
 
-  bool rank_alive(int rank) const { return alive_[rank]; }
-
   // ---- intra-cluster in-flight tracking (checkpoint-wave completion) ----
   /// Count of this rank's in-flight intra-cluster data transfers. A
   /// rendezvous send counts from RTS until its payload lands (or a
@@ -304,11 +301,6 @@ class Machine {
   /// Per-channel world-level traffic matrix (bytes), for the clustering tool.
   /// Flat open-addressed storage — record_traffic runs on every send.
   const TrafficMatrix& traffic() const { return traffic_; }
-
-  /// Compatibility view of traffic() as an ordered map (built on demand).
-  std::map<std::pair<int, int>, uint64_t> traffic_bytes() const {
-    return traffic_.as_map();
-  }
 
   /// Per-channel send trace hashes (determinism checker). Stored in
   /// per-source rows (each owned by the source rank's shard); merged into
@@ -330,9 +322,6 @@ class Machine {
   uint64_t dropped_in_flight() const {
     return dropped_in_flight_.load(std::memory_order_relaxed);
   }
-
-  /// Diagnostics: envelopes of sends parked in the rendezvous handshake.
-  std::vector<Envelope> pending_rendezvous_envelopes() const;
 
   // Debug-only tag (never hashed into traces or used for ordering), so a
   // relaxed counter keeps it unique across shard threads.

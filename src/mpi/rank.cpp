@@ -76,7 +76,7 @@ Request Rank::isend(int dst, int tag, Payload payload, const Comm& comm) {
   // deliver the replayed prefix before any new message (per-channel order).
   if (ch.replay_pending > 0) {
     sim::Time b0 = now();
-    block_until([&ch] { return ch.replay_pending == 0; }, "isend replay gate");
+    block_until([&ch] { return ch.replay_pending == 0; });
     profile_.time_mpi += now() - b0;
   }
 
@@ -135,14 +135,6 @@ void Rank::wait(Request& req) {
   bump_op_counter();
   SPBC_ASSERT_MSG(req.valid(), "wait on null request");
   RequestState* st = req.state();
-  if (!st->complete) {
-    std::string site = st->kind == RequestState::Kind::kRecv
-                           ? "wait(recv src=" + std::to_string(st->match_src) +
-                                 " tag=" + std::to_string(st->match_tag) + ")"
-                           : "wait(send dst=" + std::to_string(st->send_env.dst) +
-                                 " seq=" + std::to_string(st->send_env.seqnum) + ")";
-    set_block_site(std::move(site));
-  }
   sim::Time t0 = now();
   while (!st->complete) {
     st->waiter = machine_.engine().current_task();
@@ -185,14 +177,6 @@ bool Rank::test(Request& req) {
   // would spin forever in a cooperative simulator.
   machine_.engine().wait(machine_.config().poll_overhead);
   return req.complete();
-}
-
-bool Rank::testall(std::vector<Request>& reqs) {
-  bump_op_counter();
-  machine_.engine().wait(machine_.config().poll_overhead);
-  for (const auto& r : reqs)
-    if (r.valid() && !r.complete()) return false;
-  return true;
 }
 
 bool Rank::iprobe(int src, int tag, const Comm& comm, Status* status) {
@@ -634,8 +618,7 @@ void Rank::bump_op_counter() {
   }
 }
 
-void Rank::block_until(const std::function<bool()>& pred, const char* site) {
-  if (!pred()) set_block_site(site);
+void Rank::block_until(const std::function<bool()>& pred) {
   while (!pred()) {
     machine_.engine().park();
   }

@@ -65,10 +65,6 @@ bool Engine::in_parallel_context() const {
   return tl.eng == this && tl.parallel;
 }
 
-bool Engine::in_serial_context() const {
-  return tl.eng == this && tl.serial;
-}
-
 Time Engine::now() const {
   if (tl.eng == this && !tl.serial && tl.exec >= 0)
     return shards_[static_cast<size_t>(tl.exec)]->now;
@@ -280,6 +276,22 @@ void Engine::kill(TaskId id) {
   schedule_resume(id);  // wake it so the FiberKilled unwind runs promptly
 }
 
+void Engine::unwind_parked() {
+  SPBC_ASSERT_MSG(tl.eng != this, "unwind_parked inside a run");
+  const ThreadCtx prev = tl;
+  for (size_t i = 0; i < tasks_.size(); ++i) {
+    Task& t = tasks_[i];
+    if (!t.fiber || t.fiber->state() != Fiber::State::kParked) continue;
+    // Serial context, so engine calls made by unwinding destructors are legal.
+    tl = ThreadCtx{this, -1, t.key_shard, false, true, static_cast<TaskId>(i)};
+    t.fiber->kill();
+    t.fiber->resume();
+    SPBC_ASSERT_MSG(t.fiber->finished(), "task " << i << " parked while unwinding");
+    t.fiber.reset();
+  }
+  tl = prev;
+}
+
 bool Engine::task_finished(TaskId id) const {
   SPBC_ASSERT(id >= 0 && static_cast<size_t>(id) < tasks_.size());
   const Task& task = tasks_[static_cast<size_t>(id)];
@@ -290,11 +302,6 @@ Engine::TaskId Engine::current_task() const {
   SPBC_ASSERT_MSG(tl.eng == this && tl.running_task != kInvalidTask,
                   "current_task outside fiber");
   return tl.running_task;
-}
-
-int Engine::task_shard(TaskId id) const {
-  SPBC_ASSERT(id >= 0 && static_cast<size_t>(id) < tasks_.size());
-  return tasks_[static_cast<size_t>(id)].key_shard;
 }
 
 size_t Engine::live_task_count() const {

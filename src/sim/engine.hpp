@@ -140,9 +140,6 @@ class Engine {
   /// The task id of the fiber currently executing (fiber-side only).
   TaskId current_task() const;
 
-  /// Key shard the task was spawned on.
-  int task_shard(TaskId id) const;
-
   /// Runs until the event queues are empty and all fibers are finished, or
   /// until stop() is called. Returns final virtual time.
   Time run();
@@ -164,13 +161,17 @@ class Engine {
   /// fibers remain parked at that point, the simulation deadlocked.
   size_t live_task_count() const;
 
+  /// Teardown, outside any run: kills every parked fiber and resumes it at
+  /// once, so its frames unwind via FiberKilled and their destructors run.
+  /// Fibers that never started hold no frames and are left alone. Owners
+  /// call this before destroying the objects those frames refer to.
+  void unwind_parked();
+
   /// Diagnostic label for deadlock reports.
   void set_task_label(TaskId id, std::string label);
 
   /// True while executing a threaded parallel window on this engine.
   bool in_parallel_context() const;
-  /// True while executing a serial (global-barrier) event.
-  bool in_serial_context() const;
 
   struct Stats {
     uint64_t events = 0;         // shard events executed

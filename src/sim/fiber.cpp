@@ -140,10 +140,9 @@ void Fiber::init_context(size_t stack_size) {
 }
 
 Fiber::~Fiber() {
-  // A fiber must not be destroyed while running; parked fibers are destroyed
-  // only after a kill+resume cycle or at engine teardown (their stacks just
-  // go away; destructors of parked frames do not run, which engine teardown
-  // accepts for simulation-owned fibers that hold no external resources).
+  // A fiber must not be destroyed while running. A parked fiber's stack just
+  // goes away without running its frames' destructors, so owners unwind
+  // parked fibers first (Engine::unwind_parked, called by ~Machine).
 #if SPBC_TSAN
   if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
 #endif

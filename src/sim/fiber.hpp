@@ -115,10 +115,6 @@ class Fiber {
   /// the fiber unwinds via FiberKilled.
   void kill() { kill_requested_ = true; }
 
-  bool kill_requested() const { return kill_requested_; }
-
-  void set_state(State s) { state_ = s; }
-
   /// The fiber currently executing on this thread, or nullptr when the
   /// scheduler runs.
   static Fiber* current();

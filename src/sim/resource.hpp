@@ -48,11 +48,6 @@ class BandwidthQueue {
     return end;
   }
 
-  /// When the resource next becomes idle (<= now means idle now).
-  Time busy_until() const {
-    return busy_until_.load(std::memory_order_relaxed);
-  }
-
  private:
   std::atomic<Time> busy_until_{0};
 };

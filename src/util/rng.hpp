@@ -49,7 +49,8 @@ class Pcg32 {
   }
 
   uint64_t next_u64() {
-    return (static_cast<uint64_t>(next_u32()) << 32) | next_u32();
+    const uint64_t hi = next_u32();  // separate statements fix the draw order
+    return (hi << 32) | next_u32();
   }
 
   /// Uniform in [0, bound) without modulo bias.
@@ -62,10 +63,12 @@ class Pcg32 {
     }
   }
 
-  /// Uniform double in [0, 1).
+  /// Uniform double in [0, 1): 27 + 26 random bits form a 53-bit mantissa.
   double next_double() {
-    return static_cast<double>(next_u32() >> 5) * (1.0 / 134217728.0) / 2.0 +
-           static_cast<double>(next_u32() >> 6) * (1.0 / 67108864.0 / 4294967296.0);
+    const uint32_t a = next_u32() >> 5;
+    const uint32_t b = next_u32() >> 6;
+    return (static_cast<double>(a) * 67108864.0 + static_cast<double>(b)) *
+           (1.0 / 9007199254740992.0);
   }
 
   /// Uniform double in [lo, hi).

@@ -10,6 +10,7 @@
 
 #include "clustering/comm_graph.hpp"
 #include "clustering/partitioner.hpp"
+#include "clustering/streaming.hpp"
 #include "mpi/traffic.hpp"
 #include "sim/topology.hpp"
 #include "util/rng.hpp"
@@ -397,6 +398,86 @@ TEST(Partitioner, BlockPartitionFillsEveryCluster) {
       EXPECT_LE(*hi - *lo, 1) << "nodes=" << nodes << " k=" << k;
     }
   }
+}
+
+// ---- streaming repartitioner: single best move ---------------------------
+
+TEST(StreamingRepartitioner, ReturnsTheUniqueBestUnitMove) {
+  // Four two-rank units, two clusters: {u0, u1} and {u2, u3}. u1 talks
+  // mostly to u3, so moving u1 into cluster 1 saves the most cut.
+  CommGraph g(8);
+  g.add_traffic(2, 6, 1000);  // u1 - u3
+  g.add_traffic(2, 0, 100);   // u1 - u0
+  g.add_traffic(4, 1, 300);   // u2 - u0
+  g.add_traffic(5, 7, 200);   // u2 - u3
+  const std::vector<int> cluster_of{0, 0, 0, 0, 1, 1, 1, 1};
+  const std::vector<int> unit_of{0, 0, 1, 1, 2, 2, 3, 3};
+  // Gains: u0->1 200, u1->1 900, u2->0 100, u3->0 800.
+  const auto mv = StreamingRepartitioner().plan(g, cluster_of, unit_of, 2);
+  ASSERT_TRUE(mv.has_value());
+  EXPECT_EQ(mv->unit, 1);
+  EXPECT_EQ(mv->ranks, (std::vector<int>{2, 3}));
+  EXPECT_EQ(mv->from, 0);
+  EXPECT_EQ(mv->to, 1);
+  // The move really is the best one: no single-unit move cuts more.
+  std::vector<int> after = cluster_of;
+  for (int r : mv->ranks) after[static_cast<size_t>(r)] = mv->to;
+  EXPECT_EQ(g.logged_bytes(cluster_of) - g.logged_bytes(after), 900u);
+}
+
+TEST(StreamingRepartitioner, TiesBreakTowardLowestIds) {
+  // One rank per unit, three clusters of two. Units 0, 2 and 4 each gain
+  // the same 500 from several moves: u0 -> {1, 2}, u2 -> 0, u4 -> 0.
+  CommGraph g(6);
+  g.add_traffic(0, 2, 500);
+  g.add_traffic(0, 4, 500);
+  const std::vector<int> cluster_of{0, 0, 1, 1, 2, 2};
+  const std::vector<int> unit_of{0, 1, 2, 3, 4, 5};
+  const auto mv = StreamingRepartitioner().plan(g, cluster_of, unit_of, 3);
+  ASSERT_TRUE(mv.has_value());
+  EXPECT_EQ(mv->unit, 0);
+  EXPECT_EQ(mv->from, 0);
+  EXPECT_EQ(mv->to, 1);
+}
+
+TEST(StreamingRepartitioner, SourceAtOneUnitFloorDoesNotMove) {
+  // u0 is cluster 0's only unit; its move into cluster 1 is the only one
+  // that cuts traffic, and it would empty cluster 0.
+  CommGraph g(3);
+  g.add_traffic(0, 1, 1000);  // u0 - u1
+  g.add_traffic(1, 2, 1500);  // u1 - u2 keeps u1 in cluster 1
+  const std::vector<int> unit_of{0, 1, 2};
+  EXPECT_FALSE(StreamingRepartitioner()
+                   .plan(g, {0, 1, 1}, unit_of, 2)
+                   .has_value());
+
+  // With a second (silent) unit in cluster 0 the same move is allowed.
+  CommGraph g4(4);
+  g4.add_traffic(0, 1, 1000);
+  g4.add_traffic(1, 2, 1500);
+  const auto mv = StreamingRepartitioner().plan(g4, {0, 1, 1, 0},
+                                                {0, 1, 2, 3}, 2);
+  ASSERT_TRUE(mv.has_value());
+  EXPECT_EQ(mv->unit, 0);
+  EXPECT_EQ(mv->to, 1);
+}
+
+TEST(StreamingRepartitioner, NoStrictlyImprovingMoveYieldsNullopt) {
+  // Two dense two-unit cliques joined by a weak link, already split along
+  // the cliques; u4 is silent, so moving it is a zero-gain move.
+  CommGraph g(5);
+  g.add_traffic(0, 1, 1000);
+  g.add_traffic(2, 3, 1000);
+  g.add_traffic(1, 2, 10);
+  const std::vector<int> cluster_of{0, 0, 1, 1, 1};
+  const std::vector<int> unit_of{0, 1, 2, 3, 4};
+  EXPECT_FALSE(StreamingRepartitioner()
+                   .plan(g, cluster_of, unit_of, 2)
+                   .has_value());
+  // One cluster: nothing to move between.
+  EXPECT_FALSE(StreamingRepartitioner()
+                   .plan(g, {0, 0, 0, 0, 0}, unit_of, 1)
+                   .has_value());
 }
 
 }  // namespace

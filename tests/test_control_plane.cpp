@@ -129,7 +129,7 @@ TEST(ControlPlane, StridesOrderByLevelCostAndPlanHonorsThem) {
   const uint64_t pfs = cp.pfs_stride();
   EXPECT_GE(red, 1u);
   EXPECT_GE(pfs, 1u);
-  EXPECT_LE(pfs, cfg.max_level_stride);
+  EXPECT_LE(pfs, core::kMaxLevelStride);
   // PFS writes are far costlier and double losses far rarer than single
   // node losses under the default model/priors, so the PFS stride must not
   // be shorter than the redundancy stride.

@@ -268,6 +268,28 @@ TEST(P2P, UnmatchedRecvDeadlocks) {
   EXPECT_FALSE(res.completed);
 }
 
+TEST(P2P, TeardownUnwindsParkedRank) {
+  // A rank parked forever in recv: destroying the Machine must unwind its
+  // frames, so the guard on its stack is destroyed exactly once.
+  struct Guard {
+    int* count;
+    ~Guard() { ++*count; }
+  };
+  int destroyed = 0;
+  MachineConfig cfg = small_cfg(2);
+  cfg.abort_on_deadlock = false;
+  auto m = make_machine(cfg);
+  m->launch([&](Rank& r) {
+    if (r.rank() != 1) return;
+    Guard g{&destroyed};
+    r.recv(0, 1, r.world());  // never sent
+  });
+  EXPECT_TRUE(m->run().deadlocked);
+  EXPECT_EQ(destroyed, 0);
+  m.reset();
+  EXPECT_EQ(destroyed, 1);
+}
+
 TEST(P2P, OpCounterAdvances) {
   auto m = make_machine(small_cfg(2));
   uint64_t ops0 = 0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
@@ -72,12 +74,28 @@ TEST(Rng, BoundedIsInRange) {
 }
 
 TEST(Rng, DoubleIsInUnitInterval) {
+  // Covers the whole interval, not just a prefix of it: the largest of 10k
+  // uniform draws is above 0.99 and their mean is close to 0.5.
   Pcg32 g(11, 5);
-  for (int i = 0; i < 1000; ++i) {
+  double max = 0.0, sum = 0.0;
+  constexpr int kDraws = 10000;
+  for (int i = 0; i < kDraws; ++i) {
     double d = g.next_double();
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
+    max = std::max(max, d);
+    sum += d;
   }
+  EXPECT_GT(max, 0.99);
+  EXPECT_GE(sum / kDraws, 0.49);
+  EXPECT_LE(sum / kDraws, 0.51);
+}
+
+TEST(Rng, U64IsHighThenLowDraw) {
+  Pcg32 g(3, 7), h(3, 7);
+  const uint64_t hi = h.next_u32();
+  const uint64_t lo = h.next_u32();
+  EXPECT_EQ(g.next_u64(), (hi << 32) | lo);
 }
 
 TEST(Rng, Fnv1aMatchesKnownVector) {
