@@ -118,9 +118,7 @@ Outcome run_one(const harness::ScenarioConfig& base,
 /// machine that has finished absorbing the previous one — the overlapping
 /// case is covered by the failure-matrix and elastic test suites.
 std::vector<FailureEvent> make_storm(const harness::ScenarioConfig& cfg,
-                                     sim::Time t_base,
-                                     const bench::BenchOpts& o,
-                                     int max_failures) {
+                                     sim::Time t_base, int max_failures) {
   std::vector<FailureEvent> storm;
   util::Pcg32 rng(cfg.machine.seed, 0xe1a5);
   const int nodes = cfg.nranks / cfg.ranks_per_node;
@@ -193,8 +191,7 @@ int main(int argc, char** argv) {
       o.repart_period < 0 ? 0.05 * t_base : o.repart_period;
 
   const int max_failures = std::min(4, nodes - 2);
-  const std::vector<FailureEvent> storm = make_storm(base, t_base, o,
-                                                     max_failures);
+  const std::vector<FailureEvent> storm = make_storm(base, t_base, max_failures);
   std::printf("workload: %s, %d ranks on %d nodes, t_base %.3fs; storm: %zu "
               "permanent node losses\n\n",
               app.c_str(), o.ranks, nodes, t_base, storm.size());

@@ -2,15 +2,18 @@
 // the MPI library: the matching predicate with and without pattern ids
 // (Section 5.2.1's "additionally to comparing the source and tag"), the
 // sender-log append (the Table 2 overhead), the received-window update, the
-// event queue, and fiber context switches.
+// event queue, fiber context switches, and the checkpoint reduction kernels
+// (block hashing and the LZ codec) over one evolving-state capture.
 
 #include <benchmark/benchmark.h>
 
+#include "ckpt/reduction.hpp"
 #include "core/sender_log.hpp"
 #include "mpi/matching.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fiber.hpp"
+#include "util/codec.hpp"
 
 namespace spbc {
 namespace {
@@ -115,6 +118,41 @@ void BM_FiberSwitch(benchmark::State& state) {
   // The fiber stays parked; its stack is reclaimed with the object.
 }
 BENCHMARK(BM_FiberSwitch);
+
+// A 64 KiB synthetic application state at 1 KiB block granularity: the
+// capture shape the delta and compression stages see per rank.
+std::vector<unsigned char> reduction_state() {
+  ckpt::StateModelConfig cfg;
+  cfg.bytes = 64 * 1024;
+  cfg.block_bytes = 1024;
+  return ckpt::make_state(cfg, 0);
+}
+
+void BM_HashBlocks(benchmark::State& state) {
+  const std::vector<unsigned char> buf = reduction_state();
+  for (auto _ : state) benchmark::DoNotOptimize(ckpt::hash_blocks(buf, 1024));
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(buf.size()));
+}
+BENCHMARK(BM_HashBlocks);
+
+void BM_LzCompress(benchmark::State& state) {
+  const std::vector<unsigned char> buf = reduction_state();
+  for (auto _ : state) benchmark::DoNotOptimize(util::codec::lz_compress(buf));
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(buf.size()));
+}
+BENCHMARK(BM_LzCompress);
+
+void BM_LzDecompress(benchmark::State& state) {
+  const std::vector<unsigned char> buf = reduction_state();
+  const std::vector<unsigned char> enc = util::codec::lz_compress(buf);
+  std::vector<unsigned char> out(buf.size());
+  for (auto _ : state) {
+    util::codec::lz_decompress(enc.data(), enc.size(), out.data(), out.size());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(buf.size()));
+}
+BENCHMARK(BM_LzDecompress);
 
 }  // namespace
 }  // namespace spbc

@@ -1,6 +1,8 @@
 #include "ckpt/reduction.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "util/rng.hpp"
 
@@ -66,6 +68,62 @@ void evolve_state(std::vector<unsigned char>& buf, const StateModelConfig& cfg,
   }
 }
 
+namespace {
+
+// Four-lane 64-bit block hash in the xxHash64 style: 32-byte stripes feed
+// four independent multiply-rotate lanes, then 8-byte tail words and a byte
+// tail fold into the merged state, the length is mixed in and a final
+// avalanche spreads every input bit. Hashes are only compared for equality
+// within a run (never serialized), so the word loads use host byte order.
+constexpr uint64_t kP1 = 0x9e3779b185ebca87ull;
+constexpr uint64_t kP2 = 0xc2b2ae3d27d4eb4full;
+constexpr uint64_t kP3 = 0x165667b19e3779f9ull;
+constexpr uint64_t kP4 = 0x85ebca77c2b2ae63ull;
+constexpr uint64_t kP5 = 0x27d4eb2f165667c5ull;
+
+uint64_t load64(const unsigned char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
+uint64_t lane_round(uint64_t acc, uint64_t word) {
+  return std::rotl(acc + word * kP2, 31) * kP1;
+}
+
+uint64_t merge_lane(uint64_t h, uint64_t lane) {
+  return (h ^ lane_round(0, lane)) * kP1 + kP4;
+}
+
+uint64_t block_hash(const unsigned char* p, uint64_t len) {
+  const unsigned char* const end = p + len;
+  uint64_t h;
+  if (len >= 32) {
+    uint64_t v1 = kP1 + kP2, v2 = kP2, v3 = 0, v4 = 0 - kP1;
+    for (const unsigned char* const limit = end - 32; p <= limit; p += 32) {
+      v1 = lane_round(v1, load64(p));
+      v2 = lane_round(v2, load64(p + 8));
+      v3 = lane_round(v3, load64(p + 16));
+      v4 = lane_round(v4, load64(p + 24));
+    }
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) + std::rotl(v4, 18);
+    h = merge_lane(merge_lane(merge_lane(merge_lane(h, v1), v2), v3), v4);
+  } else {
+    h = kP5;
+  }
+  h += len;
+  for (; p + 8 <= end; p += 8) h = std::rotl(h ^ lane_round(0, load64(p)), 27) * kP1 + kP4;
+  for (; p < end; ++p) h = std::rotl(h ^ (*p * kP5), 11) * kP1;
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
+  return h;
+}
+
+}  // namespace
+
 std::vector<uint64_t> hash_blocks(const std::vector<unsigned char>& bytes,
                                   uint32_t block_bytes) {
   const uint32_t bb = block_bytes ? block_bytes : 4096;
@@ -73,10 +131,7 @@ std::vector<uint64_t> hash_blocks(const std::vector<unsigned char>& bytes,
   std::vector<uint64_t> hashes((n + bb - 1) / bb);
   for (size_t b = 0; b < hashes.size(); ++b) {
     const uint64_t off = static_cast<uint64_t>(b) * bb;
-    const uint64_t len = std::min<uint64_t>(bb, n - off);
-    util::Fnv1a64 h;
-    h.update(bytes.data() + off, len);
-    hashes[b] = h.digest();
+    hashes[b] = block_hash(bytes.data() + off, std::min<uint64_t>(bb, n - off));
   }
   return hashes;
 }

@@ -9,8 +9,9 @@
 // the pre-reduction pipeline):
 //
 //   * Content-addressed block deltas: a capture is split into fixed-size
-//     blocks, each block FNV-hashed, and only blocks whose hash changed
-//     since the previous epoch's capture are stored. Restore walks the
+//     blocks, each block hashed with a four-lane 64-bit word hash (xxHash64
+//     style), and only blocks whose hash changed since the previous epoch's
+//     capture are stored. Restore walks the
 //     base-plus-deltas chain; a configurable full-capture stride bounds the
 //     chain so retention (and restore reads) can't grow without bound.
 //   * Stage-boundary compression: the deterministic LZ/RLE codec
@@ -80,9 +81,11 @@ std::vector<unsigned char> make_state(const StateModelConfig& cfg, int rank);
 void evolve_state(std::vector<unsigned char>& buf, const StateModelConfig& cfg,
                   int rank, uint64_t epoch);
 
-/// Per-block FNV-1a hashes of `bytes` at `block_bytes` granularity (the last
-/// block hashes its real, possibly short, length — so a size change at the
-/// tail reads as a changed block).
+/// Per-block four-lane 64-bit word hashes (xxHash64 style) of `bytes` at
+/// `block_bytes` granularity (the last block hashes its real, possibly short,
+/// length — so a size change at the tail reads as a changed block). A block's
+/// hash depends on its content and length only. Hashes are compared for
+/// equality within a run and never serialized.
 std::vector<uint64_t> hash_blocks(const std::vector<unsigned char>& bytes,
                                   uint32_t block_bytes);
 

@@ -1,5 +1,6 @@
 #include "util/codec.hpp"
 
+#include <bit>
 #include <cstring>
 
 #include "util/assert.hpp"
@@ -20,35 +21,66 @@ uint32_t hash4(const unsigned char* p) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
-void put_len(std::vector<unsigned char>& out, size_t extra) {
+unsigned char* put_len(unsigned char* op, size_t extra) {
   // 255-coded continuation of a nibble that saturated at 15.
   while (extra >= 255) {
-    out.push_back(255);
+    *op++ = 255;
     extra -= 255;
   }
-  out.push_back(static_cast<unsigned char>(extra));
+  *op++ = static_cast<unsigned char>(extra);
+  return op;
 }
 
-void emit(std::vector<unsigned char>& out, const unsigned char* lit,
-          size_t nlit, size_t match_len, size_t offset) {
+unsigned char* emit(unsigned char* op, const unsigned char* lit, size_t nlit,
+                    size_t match_len, size_t offset) {
   const size_t lit_nib = nlit < 15 ? nlit : 15;
   const size_t match_nib =
       match_len == 0 ? 0 : (match_len - kMinMatch < 15 ? match_len - kMinMatch : 15);
-  out.push_back(static_cast<unsigned char>((lit_nib << 4) | match_nib));
-  if (lit_nib == 15) put_len(out, nlit - 15);
-  out.insert(out.end(), lit, lit + nlit);
-  if (match_len == 0) return;  // final literal-only token
-  out.push_back(static_cast<unsigned char>(offset & 0xff));
-  out.push_back(static_cast<unsigned char>((offset >> 8) & 0xff));
-  if (match_nib == 15) put_len(out, match_len - kMinMatch - 15);
+  *op++ = static_cast<unsigned char>((lit_nib << 4) | match_nib);
+  if (lit_nib == 15) op = put_len(op, nlit - 15);
+  std::memcpy(op, lit, nlit);
+  op += nlit;
+  if (match_len == 0) return op;  // final literal-only token
+  *op++ = static_cast<unsigned char>(offset & 0xff);
+  *op++ = static_cast<unsigned char>((offset >> 8) & 0xff);
+  if (match_nib == 15) op = put_len(op, match_len - kMinMatch - 15);
+  return op;
+}
+
+// Length of the common prefix of a[0..limit) and b[0..limit), compared eight
+// bytes at a time: the first differing byte is the lowest set byte of the
+// XOR in memory order.
+size_t common_prefix(const unsigned char* a, const unsigned char* b, size_t limit) {
+  size_t len = 0;
+  while (len + 8 <= limit) {
+    uint64_t x, y;
+    std::memcpy(&x, a + len, 8);
+    std::memcpy(&y, b + len, 8);
+    if (const uint64_t diff = x ^ y) {
+      if constexpr (std::endian::native == std::endian::little)
+        return len + static_cast<size_t>(std::countr_zero(diff)) / 8;
+      else
+        return len + static_cast<size_t>(std::countl_zero(diff)) / 8;
+    }
+    len += 8;
+  }
+  while (len < limit && a[len] == b[len]) ++len;
+  return len;
 }
 
 }  // namespace
 
 std::vector<unsigned char> lz_compress(const unsigned char* data, size_t n) {
-  std::vector<unsigned char> out;
-  if (n == 0) return out;
-  out.reserve(n / 2 + 16);
+  if (n == 0) return {};
+  // Tokens go through a raw pointer into per-thread scratch of worst-case
+  // size (all literals: one token per call plus one 255-coded length byte per
+  // 255 literals); the blob is then copied out at its exact size. Per-thread
+  // because stores encode concurrently on threaded engine shards.
+  const size_t cap = n + n / 255 + 16;
+  thread_local std::vector<unsigned char> scratch;
+  if (scratch.size() < cap) scratch.resize(cap);
+  unsigned char* const base = scratch.data();
+  unsigned char* op = base;
   uint32_t table[1u << kHashBits];
   std::memset(table, 0xff, sizeof(table));  // 0xffffffff = empty slot
   size_t lit_start = 0;
@@ -65,14 +97,17 @@ std::vector<unsigned char> lz_compress(const unsigned char* data, size_t n) {
       ++pos;
       continue;
     }
-    size_t len = kMinMatch;
-    while (pos + len < n && data[cand + len] == data[pos + len]) ++len;
-    emit(out, data + lit_start, pos - lit_start, len, pos - cand);
+    const size_t len =
+        kMinMatch + common_prefix(data + cand + kMinMatch, data + pos + kMinMatch,
+                                  n - pos - kMinMatch);
+    op = emit(op, data + lit_start, pos - lit_start, len, pos - cand);
     pos += len;
     lit_start = pos;
   }
-  if (lit_start < n) emit(out, data + lit_start, n - lit_start, 0, 0);
-  return out;
+  if (lit_start < n) op = emit(op, data + lit_start, n - lit_start, 0, 0);
+  SPBC_ASSERT_MSG(static_cast<size_t>(op - base) <= cap,
+                  "codec: encoder overran its worst-case bound");
+  return std::vector<unsigned char>(base, op);
 }
 
 void lz_decompress(const unsigned char* enc, size_t n, unsigned char* out,
@@ -111,10 +146,21 @@ void lz_decompress(const unsigned char* enc, size_t n, unsigned char* out,
     }
     SPBC_ASSERT_MSG(offset >= 1 && offset <= op && op + mlen <= out_n,
                     "codec: match overruns the output");
-    // Byte-by-byte: matches may self-overlap (offset < mlen encodes a run).
-    for (size_t i = 0; i < mlen; ++i) {
-      out[op] = out[op - offset];
-      ++op;
+    // Matches may self-overlap (offset < mlen encodes a run). Offset 1 is a
+    // byte run. From offset 8 on, each 8-byte word's source lies wholly in
+    // already-written output, so whole words are copied; the last may spill
+    // up to 7 bytes past the match into output the next token overwrites, so
+    // a match ending within 8 bytes of the output's end goes byte by byte, as
+    // do offsets 2..7.
+    unsigned char* dst = out + op;
+    const unsigned char* src = dst - offset;
+    op += mlen;
+    if (offset == 1) {
+      std::memset(dst, *src, mlen);
+    } else if (offset >= 8 && op + 8 <= out_n) {
+      for (size_t i = 0; i < mlen; i += 8) std::memcpy(dst + i, src + i, 8);
+    } else {
+      for (size_t i = 0; i < mlen; ++i) dst[i] = src[i];
     }
   }
   SPBC_ASSERT_MSG(op == out_n, "codec: decoded size mismatch");

@@ -31,7 +31,9 @@ namespace spbc::util::codec {
 
 /// Deterministic LZ/RLE compression of `data[0..n)`. Round-trips exactly
 /// through lz_decompress. May be larger than the input on incompressible
-/// data (the caller keeps the raw bytes in that case).
+/// data (the caller keeps the raw bytes in that case), but never more than
+/// n + n/255 + 16 bytes. The blob is returned at its exact size (capacity ==
+/// size), so stored snapshots hold no spare capacity.
 std::vector<unsigned char> lz_compress(const unsigned char* data, size_t n);
 
 inline std::vector<unsigned char> lz_compress(

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
+#include <set>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "ckpt/reduction.hpp"
@@ -26,11 +31,18 @@ std::vector<unsigned char> roundtrip(const std::vector<unsigned char>& data) {
   return util::codec::lz_decompress(enc, data.size());
 }
 
+// n pairwise-distinct bytes (i * 37 mod 256 does not repeat below 256), so
+// the match finder has nothing to find.
+std::vector<unsigned char> tiny_input(size_t n) {
+  std::vector<unsigned char> data;
+  for (size_t i = 0; i < n; ++i) data.push_back(static_cast<unsigned char>(i * 37));
+  return data;
+}
+
 TEST(Codec, RoundTripsEmptyAndTiny) {
   EXPECT_TRUE(roundtrip({}).empty());
   for (size_t n = 1; n <= 16; ++n) {
-    std::vector<unsigned char> data(n);
-    for (size_t i = 0; i < n; ++i) data[i] = static_cast<unsigned char>(i * 37);
+    const std::vector<unsigned char> data = tiny_input(n);
     EXPECT_EQ(roundtrip(data), data) << "length " << n;
   }
 }
@@ -74,6 +86,112 @@ TEST(Codec, DeterministicEncoding) {
   EXPECT_EQ(util::codec::lz_compress(data), util::codec::lz_compress(data));
 }
 
+// The codec's token stream is part of the modelled byte counts (stored_bytes
+// feeds every staging level), so the encoding itself is pinned: each input's
+// encoded size and the FNV-1a digest of the encoded bytes, as produced by the
+// byte-serial reference encoder. Any drift in the format fails here.
+TEST(Codec, GoldenEncoding) {
+  struct Golden {
+    const char* name;
+    size_t size;
+    uint64_t digest;
+  };
+  std::vector<std::pair<std::string, std::vector<unsigned char>>> inputs;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    ckpt::StateModelConfig cfg;
+    cfg.bytes = 64 * 1024;
+    cfg.block_bytes = 1024;
+    cfg.seed = seed;
+    inputs.emplace_back("state seed " + std::to_string(seed), ckpt::make_state(cfg, 0));
+  }
+  inputs.emplace_back("constant 64KiB", std::vector<unsigned char>(64 * 1024, 0xAB));
+  for (size_t n : {17u, 4095u, 70000u}) {
+    util::Pcg32 rng(42, n);
+    std::vector<unsigned char> data(n);
+    size_t i = 0;
+    while (i < n) {
+      const unsigned char fill = static_cast<unsigned char>(rng.next_bounded(256));
+      const size_t run = 1 + rng.next_bounded(64);
+      for (size_t j = 0; j < run && i < n; ++j) data[i++] = fill;
+    }
+    inputs.emplace_back("patterned " + std::to_string(n), std::move(data));
+  }
+  {
+    util::Pcg32 rng(3, 9);
+    std::vector<unsigned char> data(50000);
+    for (unsigned char& b : data) b = static_cast<unsigned char>(rng.next_bounded(256));
+    inputs.emplace_back("noise 50000", std::move(data));
+  }
+  for (size_t n = 0; n <= 16; ++n)
+    inputs.emplace_back("tiny " + std::to_string(n), tiny_input(n));
+  const Golden golden[] = {
+      {"state seed 1", 9862, 0xc7c9acad8148389full},
+      {"state seed 2", 9675, 0x9940c1994e3c2d7eull},
+      {"state seed 3", 9632, 0x3601e4dc773c8bf0ull},
+      {"state seed 4", 9746, 0x553507d418fa5843ull},
+      {"constant 64KiB", 261, 0x3d1f8fd2ae766786ull},
+      {"patterned 17", 4, 0x45fc3b269eadd97aull},
+      {"patterned 4095", 596, 0xfb641139103f84d4ull},
+      {"patterned 70000", 11599, 0x4ec10b3ec057f739ull},
+      {"noise 50000", 50198, 0xe85ed912a7f351c7ull},
+      {"tiny 0", 0, 0xcbf29ce484222325ull},
+      {"tiny 1", 2, 0x868e807b519a27dull},
+      {"tiny 2", 3, 0xc41dcd17cf0f8838ull},
+      {"tiny 3", 4, 0x4dd631fa3abfc946ull},
+      {"tiny 4", 5, 0xd0bb5277c425f95bull},
+      {"tiny 5", 6, 0x481653aeb6ebf4edull},
+      {"tiny 6", 7, 0x95ba8690ceb8beacull},
+      {"tiny 7", 8, 0x7d6c261fe03ee026ull},
+      {"tiny 8", 9, 0xe71cbd4b8812996full},
+      {"tiny 9", 10, 0xa5d1c5b057756715ull},
+      {"tiny 10", 11, 0xf3ec1b803e749ed8ull},
+      {"tiny 11", 12, 0xde55ed4d1f4e3feeull},
+      {"tiny 12", 13, 0x4555ed8c76de82ebull},
+      {"tiny 13", 14, 0xc8cb6d6e92ffa925ull},
+      {"tiny 14", 15, 0xb009eba811c4f3bcull},
+      {"tiny 15", 17, 0xc2f434fb63986134ull},
+      {"tiny 16", 18, 0xb31fe131fe6e20caull},
+  };
+  ASSERT_EQ(inputs.size(), std::size(golden));
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const auto& [name, data] = inputs[i];
+    const std::vector<unsigned char> enc = util::codec::lz_compress(data);
+    util::Fnv1a64 h;
+    h.update(enc.data(), enc.size());
+    EXPECT_EQ(name, golden[i].name);
+    EXPECT_TRUE(enc.size() == golden[i].size && h.digest() == golden[i].digest)
+        << "      {\"" << name << "\", " << enc.size() << ", 0x" << std::hex
+        << h.digest() << std::dec << "ull},";
+    EXPECT_EQ(enc.capacity(), enc.size()) << name << ": blob not stored exact-size";
+    EXPECT_EQ(util::codec::lz_decompress(enc, data.size()), data) << name;
+  }
+}
+
+// Stores encode concurrently on threaded engine shards, so the encoder's
+// scratch must not be shared between threads: concurrent encodings of
+// different states must each equal their serial encoding.
+TEST(Codec, ConcurrentEncodersAgree) {
+  std::vector<std::vector<unsigned char>> states;
+  std::vector<std::vector<unsigned char>> expected;
+  for (int rank = 0; rank < 4; ++rank) {
+    ckpt::StateModelConfig cfg;
+    cfg.bytes = 16 * 1024 + 512 * static_cast<uint64_t>(rank);
+    cfg.block_bytes = 1024;
+    states.push_back(ckpt::make_state(cfg, rank));
+    expected.push_back(util::codec::lz_compress(states.back()));
+  }
+  std::vector<int> mismatches(states.size(), 0);
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < states.size(); ++t) {
+    workers.emplace_back([&, t] {
+      for (int i = 0; i < 200; ++i)
+        if (util::codec::lz_compress(states[t]) != expected[t]) ++mismatches[t];
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (size_t t = 0; t < states.size(); ++t) EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+}
+
 TEST(StateModel, PureInSeedRankEpoch) {
   ckpt::StateModelConfig cfg;
   cfg.bytes = 8192;
@@ -110,6 +228,50 @@ TEST(StateModel, HashBlocksSeesTailChanges) {
   ASSERT_EQ(ha.size(), 4u);
   EXPECT_EQ(ha[0], hb[0]);
   EXPECT_NE(ha[3], hb[3]);
+}
+
+// A single flipped bit anywhere changes its own block's hash and no other
+// block's, at block lengths that run the 32-byte stripes, the 8-byte tail
+// words and the byte tail, with a short tail block after three full ones.
+TEST(StateModel, HashBlocksSeeEverySingleBitFlip) {
+  std::vector<uint32_t> lens;
+  for (uint32_t bb = 1; bb <= 70; ++bb) lens.push_back(bb);
+  lens.push_back(1024);
+  util::Pcg32 rng(5, 17);
+  for (uint32_t bb : lens) {
+    std::vector<unsigned char> data(3 * bb + bb / 2);
+    for (unsigned char& c : data) c = static_cast<unsigned char>(rng.next_u32());
+    const std::vector<uint64_t> base = ckpt::hash_blocks(data, bb);
+    for (size_t off = 0; off < data.size(); ++off) {
+      for (int bit = 0; bit < 8; ++bit) {
+        data[off] ^= static_cast<unsigned char>(1u << bit);
+        const std::vector<uint64_t> h = ckpt::hash_blocks(data, bb);
+        data[off] ^= static_cast<unsigned char>(1u << bit);
+        for (size_t b = 0; b < h.size(); ++b) {
+          ASSERT_EQ(h[b] != base[b], b == off / bb)
+              << "block bytes " << bb << ", offset " << off << ", bit " << bit
+              << ", block " << b;
+        }
+      }
+    }
+  }
+}
+
+TEST(StateModel, HashBlocksDependOnContentAndLengthOnly) {
+  // Equal content at different block indices hashes equal.
+  for (uint32_t bb : {5u, 40u, 1024u}) {
+    std::vector<unsigned char> data(4 * bb);
+    for (size_t i = 0; i < data.size(); ++i)
+      data[i] = static_cast<unsigned char>((i % bb) * 13 + 1);
+    const std::vector<uint64_t> h = ckpt::hash_blocks(data, bb);
+    ASSERT_EQ(h.size(), 4u);
+    for (size_t b = 1; b < h.size(); ++b) EXPECT_EQ(h[b], h[0]) << "block bytes " << bb;
+  }
+  // The length is mixed in: all-zero blocks of different lengths differ.
+  std::set<uint64_t> zero_hashes;
+  for (uint32_t len = 1; len <= 70; ++len)
+    zero_hashes.insert(ckpt::hash_blocks(std::vector<unsigned char>(len), 1024).at(0));
+  EXPECT_EQ(zero_hashes.size(), 70u);
 }
 
 // Store with delta + compression on: saves a per-epoch evolving payload and
