@@ -15,6 +15,10 @@
 //
 // CI gates (exit 1 on violation):
 //   * delta+compress cuts PARTNER+PFS bytes >= 2x vs raw, same scheme;
+//   * delta alone cuts PARTNER+PFS bytes >= 1.8x vs raw: unmutated state
+//     blocks must read as unchanged from epoch to epoch;
+//   * every delta+compress capture with a stored predecessor inside the
+//     full-capture stride is a delta (captures - chain bases);
 //   * every variant's failure run completes with checksums identical to its
 //     failure-free run (zero false restore successes);
 //   * the delta+compress run is bit-identical across engine shard layouts
@@ -33,6 +37,7 @@ std::string kb(uint64_t bytes) { return util::Table::fmt(bytes / 1.0e3, 2); }
 
 struct VariantOutcome {
   bool ok = false;          // both runs completed, checksums identical
+  uint64_t captures = 0;    // snapshots saved, full and delta
   uint64_t raw = 0;         // logical capture bytes (store-level)
   uint64_t stored = 0;      // post-reduction stored bytes
   uint64_t deltas = 0;      // non-full captures
@@ -95,6 +100,7 @@ int main(int argc, char** argv) {
     harness::ScenarioResult fr =
         harness::run_with_failure(cfg, ff.elapsed, kFailFrac);
     VariantOutcome& vo = out[v.name];
+    vo.captures = ff.checkpoints;
     vo.raw = ff.ckpt_raw_bytes;
     vo.stored = ff.ckpt_stored_bytes;
     vo.deltas = ff.delta_snapshots;
@@ -128,25 +134,43 @@ int main(int argc, char** argv) {
       gates_ok = false;
     }
   }
-  if (out.count("raw") && out.count("delta+compress")) {
-    const uint64_t raw_wire =
-        out["raw"].wire_partner + out["raw"].wire_pfs;
-    const uint64_t red_wire =
-        out["delta+compress"].wire_partner + out["delta+compress"].wire_pfs;
-    const double cut = red_wire ? static_cast<double>(raw_wire) /
-                                      static_cast<double>(red_wire)
-                                : 0.0;
-    const bool cut_ok = red_wire > 0 && cut >= 2.0;
+  if (out.count("raw") && out.count("delta") && out.count("delta+compress")) {
+    auto wire = [&out](const char* name) {
+      return out[name].wire_partner + out[name].wire_pfs;
+    };
+    auto cut_gate = [&](const char* name, double need) {
+      const uint64_t red_wire = wire(name);
+      const double cut = red_wire ? static_cast<double>(wire("raw")) /
+                                        static_cast<double>(red_wire)
+                                  : 0.0;
+      const bool cut_ok = red_wire > 0 && cut >= need;
+      std::printf(
+          "bytes gate: %s PARTNER+PFS bytes %.2fx below raw (need >= %.1f) "
+          "%s\n",
+          name, cut, need, cut_ok ? "OK" : "FAIL");
+      return cut_ok;
+    };
+    gates_ok = cut_gate("delta+compress", 2.0) && gates_ok;
+    gates_ok = cut_gate("delta", 1.8) && gates_ok;
+
+    // Failure-free epochs are even across ranks: each rank's epochs 1..E
+    // open a new chain at epoch 1 and every full_stride epochs after it.
+    const VariantOutcome& dc = out["delta+compress"];
+    const uint64_t nranks = static_cast<uint64_t>(o.ranks);
+    const uint64_t per_rank = dc.captures / nranks;
+    const uint64_t stride =
+        base.spbc.reduction.full_stride ? base.spbc.reduction.full_stride
+                                        : per_rank;
+    const uint64_t bases = nranks * ((per_rank + stride - 1) / stride);
+    const bool deltas_ok =
+        dc.captures % nranks == 0 && dc.deltas == dc.captures - bases;
     std::printf(
-        "bytes gate: delta+compress PARTNER+PFS bytes %.2fx below raw "
-        "(need >= 2.0) %s\n",
-        cut, cut_ok ? "OK" : "FAIL");
-    gates_ok = gates_ok && cut_ok;
-    const bool deltas_seen = out["delta+compress"].deltas > 0;
-    if (!deltas_seen) {
-      std::printf("bytes gate: no delta captures were taken FAIL\n");
-      gates_ok = false;
-    }
+        "delta gate: delta+compress %llu deltas of %llu captures (need "
+        "captures - %llu chain bases) %s\n",
+        static_cast<unsigned long long>(dc.deltas),
+        static_cast<unsigned long long>(dc.captures),
+        static_cast<unsigned long long>(bases), deltas_ok ? "OK" : "FAIL");
+    gates_ok = gates_ok && deltas_ok;
   } else {
     gates_ok = false;
   }

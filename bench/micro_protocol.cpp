@@ -2,18 +2,22 @@
 // the MPI library: the matching predicate with and without pattern ids
 // (Section 5.2.1's "additionally to comparing the source and tag"), the
 // sender-log append (the Table 2 overhead), the received-window update, the
-// event queue, fiber context switches, and the checkpoint reduction kernels
-// (block hashing and the LZ codec) over one evolving-state capture.
+// event queue, fiber context switches, the checkpoint reduction kernels
+// (block hashing and the LZ codec) over one evolving-state capture, and the
+// steady-state capture save they serve (state evolution plus a delta and
+// compressed Store::save per epoch).
 
 #include <benchmark/benchmark.h>
 
 #include "ckpt/reduction.hpp"
+#include "ckpt/store.hpp"
 #include "core/sender_log.hpp"
 #include "mpi/matching.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fiber.hpp"
 #include "util/codec.hpp"
+#include "util/serialize.hpp"
 
 namespace spbc {
 namespace {
@@ -153,6 +157,51 @@ void BM_LzDecompress(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(buf.size()));
 }
 BENCHMARK(BM_LzDecompress);
+
+// One rank's checkpoint per iteration, shaped like a `recover-reduce-512`
+// capture: the 64 KiB state evolves (10% of its 1 KiB blocks rewritten), and
+// the capture is laid out as SpbcProtocol writes it, epoch | state | prefix,
+// where the ~9 KB prefix stands in for the calls, runtime, log and app
+// sections: new content every epoch and a length that drifts. Store::save
+// delta-encodes against the previous epoch and compresses; pruning keeps
+// only the live chain, as a committed wave does.
+void BM_CaptureSave(benchmark::State& state) {
+  ckpt::StateModelConfig sm;
+  sm.bytes = 64 * 1024;
+  sm.block_bytes = 1024;
+  std::vector<unsigned char> buf = ckpt::make_state(sm, 0);
+  ckpt::ReductionConfig rc;
+  rc.delta = true;
+  rc.block_bytes = 1024;
+  rc.compress = true;
+  ckpt::Store store;
+  store.set_reduction(rc);
+  std::vector<unsigned char> prefix;
+  uint64_t epoch = 0;
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    ++epoch;
+    ckpt::evolve_state(buf, sm, 0, epoch);
+    prefix.resize(9 * 1024 + (epoch % 7) * 24);
+    ckpt::fill_synth_block(prefix.data(), prefix.size(), epoch);
+    util::ByteWriter w;
+    w.put<uint64_t>(epoch);
+    w.put_bytes(buf.data(), buf.size());
+    w.put_bytes(prefix.data(), prefix.size());
+    ckpt::Snapshot snap;
+    snap.epoch = epoch;
+    snap.bytes = w.take();
+    bytes += static_cast<int64_t>(snap.bytes.size());
+    benchmark::DoNotOptimize(store.save(0, std::move(snap)));
+    store.prune_epochs_below(0, epoch);
+  }
+  state.SetBytesProcessed(bytes);
+  state.counters["deltas"] = static_cast<double>(store.delta_snapshots());
+  state.counters["stored_share"] =
+      static_cast<double>(store.total_bytes_written()) /
+      static_cast<double>(store.total_raw_bytes());
+}
+BENCHMARK(BM_CaptureSave);
 
 }  // namespace
 }  // namespace spbc

@@ -345,14 +345,11 @@ void SpbcProtocol::run_coordinated_checkpoint(mpi::Rank& rank) {
   const uint64_t epoch = cs.snap_epoch + 1;
 
   // --- the cut: capture local state, no coordination, no parking ---------
+  // Section order: epoch | state | calls | runtime | log | app. The state
+  // sits at a fixed offset, ahead of the variable-length sections, so its
+  // unmutated blocks keep their delta block index from epoch to epoch.
   util::ByteWriter w;
   w.put<uint64_t>(epoch);
-  w.put<uint64_t>(cs.calls);
-  rank.serialize_runtime(w);
-  logs_[static_cast<size_t>(me)].serialize(w);
-  util::ByteWriter app;
-  rank.serialize_app(app);
-  w.put_bytes(app.bytes().data(), app.size());
   if (cfg_.state_model.bytes > 0) {
     // Synthetic evolving state: mutate a deterministic subset of blocks for
     // this epoch, then capture the buffer. Keyed by (seed, rank, epoch)
@@ -362,6 +359,12 @@ void SpbcProtocol::run_coordinated_checkpoint(mpi::Rank& rank) {
     ckpt::evolve_state(buf, cfg_.state_model, me, epoch);
     w.put_bytes(buf.data(), buf.size());
   }
+  w.put<uint64_t>(cs.calls);
+  rank.serialize_runtime(w);
+  logs_[static_cast<size_t>(me)].serialize(w);
+  util::ByteWriter app;
+  rank.serialize_app(app);
+  w.put_bytes(app.bytes().data(), app.size());
 
   ckpt::Snapshot snap;
   snap.taken_at = machine_->engine().now();
@@ -914,12 +917,13 @@ void SpbcProtocol::restore_rank(int r, uint64_t epoch) {
   // The adaptive trigger restarts its clock at the restore: the restored
   // snapshot's cut is in the rolled-back past, not this incarnation's.
   cs.last_cut = machine_->engine().now();
+  // Sections in capture order (run_coordinated_checkpoint).
+  if (cfg_.state_model.bytes > 0)
+    synth_state_[static_cast<size_t>(r)] = reader.get_bytes();
   cs.calls = reader.get<uint64_t>();
   rank.restore_runtime(reader);
   logs_[static_cast<size_t>(r)].restore(reader);
   machine_->set_pending_app_state(r, reader.get_bytes());
-  if (cfg_.state_model.bytes > 0)
-    synth_state_[static_cast<size_t>(r)] = reader.get_bytes();
   SPBC_ASSERT_MSG(reader.exhausted(), "trailing bytes in snapshot of rank " << r);
 }
 

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -14,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "apps/app.hpp"
 #include "ckpt/reduction.hpp"
 #include "ckpt/staging.hpp"
 #include "ckpt/store.hpp"
@@ -518,6 +521,142 @@ TEST(ReductionE2E, ShardLayoutInvariant) {
   EXPECT_EQ(serial.ckpt_stored_bytes, sharded.ckpt_stored_bytes);
   EXPECT_EQ(serial.delta_snapshots, sharded.delta_snapshots);
   EXPECT_EQ(serial.bytes_pfs_written, sharded.bytes_pfs_written);
+}
+
+// Chain bases among `captures` failure-free captures spread evenly over
+// `nranks` ranks: each rank's epochs 1..E start a new chain at epoch 1 and
+// every `stride` epochs after it (stride 0 = one unbounded chain).
+uint64_t chain_bases(uint64_t captures, int nranks, uint64_t stride) {
+  const uint64_t per_rank = captures / static_cast<uint64_t>(nranks);
+  const uint64_t s = stride == 0 ? per_rank : stride;
+  return static_cast<uint64_t>(nranks) * ((per_rank + s - 1) / s);
+}
+
+// The state model sits at a fixed capture offset, so a capture whose
+// predecessor is stored within the stride must be a delta even when the
+// variable-length prefix (runtime, log, app sections) changes length between
+// epochs, and only the mutated state blocks plus the prefix may be stored.
+TEST(ReductionE2E, DeltaAtEveryEligibleEpoch) {
+  harness::ScenarioConfig cfg;
+  cfg.app = "MiniGhost";
+  cfg.nranks = 16;
+  cfg.ranks_per_node = 4;
+  cfg.nclusters = 4;
+  cfg.app_cfg.iters = 12;  // six epochs per rank: chains start at 1 and 5
+  cfg.app_cfg.validate = true;
+  cfg.spbc.checkpoint_every = 2;
+  cfg.spbc.storage = ckpt::StorageLevel::kPfs;
+  cfg.spbc.async_staging = true;
+  cfg.spbc.reduction.delta = true;
+  cfg.spbc.reduction.block_bytes = 1024;
+  cfg.spbc.reduction.full_stride = 4;
+  cfg.spbc.state_model.bytes = 65536;  // ~9x the ~7 KB prefix
+  cfg.spbc.state_model.block_bytes = 1024;
+  cfg.spbc.state_model.mutation_rate = 0.1;
+  cfg.spbc.state_model.seed = 5;
+
+  harness::ScenarioResult ff = harness::run_failure_free(cfg);
+  ASSERT_TRUE(ff.run.completed);
+  ASSERT_GT(ff.checkpoints, 0u);
+  ASSERT_EQ(ff.checkpoints % cfg.nranks, 0u) << "uneven epochs per rank";
+  const uint64_t bases =
+      chain_bases(ff.checkpoints, cfg.nranks, cfg.spbc.reduction.full_stride);
+  EXPECT_EQ(ff.delta_snapshots, ff.checkpoints - bases)
+      << "a capture with a stored predecessor was stored full";
+  // Compression off: the two bases per rank are stored whole, and a delta
+  // carries the ~12 capture blocks its 6 mutated state blocks straddle plus
+  // the prefix (about a quarter of a capture), so about half the raw bytes
+  // are stored. A state that drifts against the block grid stores nearly all.
+  const double stored_share = static_cast<double>(ff.ckpt_stored_bytes) /
+                              static_cast<double>(ff.ckpt_raw_bytes);
+  EXPECT_LT(stored_share, 0.6) << "stored " << ff.ckpt_stored_bytes
+                               << " of " << ff.ckpt_raw_bytes << " raw bytes";
+}
+
+// Scenario-level restore from a delta head: the failure lands at the
+// victim's fifth cut, after its cluster has committed at least three waves,
+// so recovery materializes a delta over a chain of at least two earlier
+// captures, and the recovered run must still land on the failure-free
+// checksums.
+TEST(ReductionE2E, RestoresFromDeltaHead) {
+  mpi::MachineConfig mc;
+  mc.nranks = 16;
+  mc.ranks_per_node = 4;
+  core::SpbcConfig scfg;
+  scfg.checkpoint_every = 2;
+  scfg.storage = ckpt::StorageLevel::kPfs;
+  scfg.async_staging = true;
+  scfg.reduction.delta = true;
+  scfg.reduction.block_bytes = 512;
+  scfg.reduction.full_stride = 8;
+  scfg.reduction.compress = true;
+  scfg.state_model.bytes = 16384;
+  scfg.state_model.block_bytes = 512;
+  scfg.state_model.seed = 11;
+  constexpr int kVictim = 5;
+  const std::vector<int> cluster_of = {0, 0, 0, 0, 1, 1, 1, 1,
+                                       2, 2, 2, 2, 3, 3, 3, 3};
+
+  struct Probe {
+    uint64_t committed = 0;
+    bool full = true;
+    uint64_t chain_base = 0;
+    sim::Time cut = 0;  // latest cut of the committed epoch in the cluster
+  };
+  // One MiniGhost run. With `fail_at` > 0 the victim fails then, and a
+  // serial probe scheduled ahead of the failure at the same instant records
+  // the epoch recovery will restore.
+  auto run = [&](sim::Time fail_at, Probe* probe, sim::Time* cut5,
+                 std::vector<mpi::RecoveryRecord>* recoveries) {
+    auto proto = std::make_unique<core::SpbcProtocol>(scfg);
+    core::SpbcProtocol* p = proto.get();
+    mpi::Machine m(mc, std::move(proto));
+    m.set_cluster_of(cluster_of);
+    std::map<int, uint64_t> sums;
+    apps::AppConfig app;
+    app.iters = 12;
+    app.validate = true;
+    app.checksums = &sums;
+    const apps::AppInfo& info = apps::find_app("MiniGhost");
+    m.launch([&info, app](mpi::Rank& r) { info.main(r, app); });
+    if (fail_at > 0) {
+      m.engine().at_serial(fail_at, [p, probe, &cluster_of] {
+        probe->committed = p->committed_epoch(cluster_of[kVictim]);
+        const ckpt::StoredSnapshot& s =
+            p->store().at_epoch(kVictim, probe->committed);
+        probe->full = s.full();
+        probe->chain_base = s.chain_base;
+        for (int r = 0; r < static_cast<int>(cluster_of.size()); ++r) {
+          if (cluster_of[r] != cluster_of[kVictim]) continue;
+          probe->cut = std::max(
+              probe->cut, p->store().at_epoch(r, probe->committed).taken_at);
+        }
+      });
+      m.inject_failure(fail_at, kVictim);
+    }
+    EXPECT_TRUE(m.run().completed);
+    if (cut5 != nullptr) *cut5 = p->store().at_epoch(kVictim, 5).taken_at;
+    if (recoveries != nullptr) *recoveries = m.recoveries();
+    return sums;
+  };
+
+  sim::Time cut5 = 0;
+  const std::map<int, uint64_t> ff = run(0, nullptr, &cut5, nullptr);
+  ASSERT_FALSE(ff.empty());
+  ASSERT_GT(cut5, 0);
+
+  Probe probe;
+  std::vector<mpi::RecoveryRecord> recs;
+  const std::map<int, uint64_t> fr = run(cut5, &probe, nullptr, &recs);
+  ASSERT_GE(probe.committed, 3u) << "failure precedes the third commit";
+  EXPECT_FALSE(probe.full) << "restored epoch " << probe.committed
+                           << " is a full capture";
+  EXPECT_GE(probe.committed - probe.chain_base, 2u)
+      << "restored delta chain is shorter than 2";
+  ASSERT_FALSE(recs.empty());
+  EXPECT_EQ(recs.front().checkpoint_time, probe.cut)
+      << "recovery did not restore the probed epoch";
+  EXPECT_EQ(fr, ff) << "restore from a delta head changed state bytes";
 }
 
 }  // namespace
